@@ -70,11 +70,8 @@ from .hypergraphs import (
 from .ideals import (
     GeneralMonomialIdeal,
     SquareFreeIdeal,
-    colon_by,
     edge_ideal,
-    intersect,
     matching_power_general,
-    plus,
     polarize,
     splitting_for_disjoint_union,
     sqfree_power,

@@ -6,22 +6,28 @@ V(M_i), (2) k <= |M| <= r + k - 1, and (3) every matching of H[V(M_i)] of
 size |M_i| covers V(M_i).  Condition (1) forces the partition to coarsen
 the "forcing components", and merging parts can never repair rigidity or
 grow r, so the finest partition decides everything.
+
+The forcing components grow edge by edge: every edge inside V(M + e) but
+not inside V(M) meets e, so adding e merges e with exactly the parts
+that those edges touch.  `hypergraphs.walk_matchings` carries them
+through its DFS that way, and every scan here is a reduction over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
 
 from .hypergraphs import (
     Graph,
     Hypergraph,
     InputError,
-    all_matchings,
     check_matching,
+    forcing_step,
     matching_indices,
     matching_number,
     vertices_of,
+    walk_matchings,
 )
 
 
@@ -50,43 +56,25 @@ class AdmissibleWitness:
         }
 
 
-def _component_labels(H: Hypergraph, idx: Sequence[int], vmask: int) -> list[int]:
-    """Union-find labels: i ~ j when some edge inside V(M) meets both."""
-    masks = [H.edges[i] for i in idx]
-    parent = list(range(len(idx)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in H.edges:
-        if e & ~vmask:
-            continue
-        hit = [p for p, mk in enumerate(masks) if mk & e]
-        for a, b in zip(hit, hit[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return [find(p) for p in range(len(idx))]
+def _forcing_parts(H: Hypergraph, idx: tuple[int, ...]) -> tuple:
+    """Forcing parts of a given matching, folded edge by edge."""
+    vmask = 0
+    parts: tuple = ()
+    for i in idx:
+        e = H.edges[i]
+        vmask |= e
+        parts = forcing_step(parts, e, vmask, [f for f in H.edges if f & e])
+    return parts
 
 
-def _grouped(idx: Sequence[int], labels: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    groups: dict[int, list[int]] = {}
-    for pos, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(idx[pos])
-    return tuple(sorted(tuple(g) for g in groups.values()))
+def _index_parts(H: Hypergraph, idx: tuple[int, ...], parts: tuple) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(tuple(i for i in idx if H.edges[i] & pmask) for pmask, _ in parts))
 
 
 def forcing_components(H: Hypergraph, matching) -> ForcingPartition:
     """Finest partition satisfying condition (1); every valid partition coarsens it."""
     idx = check_matching(H, matching_indices(matching))
-    vmask = 0
-    for i in idx:
-        vmask |= H.edges[i]
-    labels = _component_labels(H, idx, vmask)
-    return ForcingPartition(idx, _grouped(idx, labels))
+    return ForcingPartition(idx, _index_parts(H, idx, _forcing_parts(H, idx)))
 
 
 def is_rigid_part(H: Hypergraph, part) -> bool:
@@ -131,23 +119,17 @@ def is_generalized_k_admissible(
     nu = matching_number(H)
     if not 1 <= k <= nu:
         raise InputError(f"k={k} out of range 1..nu={nu}")
-    if not k <= len(idx):
+    parts = _forcing_parts(H, idx)
+    if not _admissible(H, len(idx), parts, k, {}):
         return None
-    vmask = 0
-    for i in idx:
-        vmask |= H.edges[i]
-    labels = _component_labels(H, idx, vmask)
-    parts = _grouped(idx, labels)
-    if len(idx) > len(parts) + k - 1:
-        return None
-    memo: dict = {}
-    for part in parts:
-        pmask = 0
-        for i in part:
-            pmask |= H.edges[i]
-        if not _rigid(H, pmask, len(part), memo):
-            return None
-    return AdmissibleWitness(idx, parts, k, generalized=True)
+    return AdmissibleWitness(idx, _index_parts(H, idx, parts), k, generalized=True)
+
+
+def _admissible(H: Hypergraph, size: int, parts: tuple, k: int, memo: dict) -> bool:
+    """Conditions (2) and (3) on the forcing parts of a matching of the given size."""
+    return k <= size <= len(parts) + k - 1 and all(
+        _rigid(H, pmask, count, memo) for pmask, count in parts
+    )
 
 
 def _require_uniform(H: Hypergraph) -> int:
@@ -172,34 +154,20 @@ def aim(H: Hypergraph, k: int) -> int:
     """
     _require_uniform(H)
     _check_k(H, k)
-    best = 0
-    for idx, vmask in all_matchings(H):
-        if len(idx) <= best:
-            continue
-        labels = _component_labels(H, idx, vmask)
-        if len(idx) - len(set(labels)) <= k - 1:
-            best = len(idx)
-    return best
+    return aim_profile(H)[k - 1]
 
 
 def aim_profile(H: Hypergraph) -> list[int]:
-    """[aim(H,1), ..., aim(H,nu)] from a single scan over all matchings."""
+    """[aim(H,1), ..., aim(H,nu)] from a single walk over all matchings."""
     if not H.edges:
         return []
     _require_uniform(H)
-    nu = matching_number(H)
-    best_by_defect = [0] * nu
-    for idx, vmask in all_matchings(H):
-        labels = _component_labels(H, idx, vmask)
-        defect = len(idx) - len(set(labels))
-        if defect < nu and len(idx) > best_by_defect[defect]:
+    best_by_defect = [0] * matching_number(H)
+    for idx, _, parts in walk_matchings(H):
+        defect = len(idx) - len(parts)
+        if len(idx) > best_by_defect[defect]:
             best_by_defect[defect] = len(idx)
-    out = []
-    run = 0
-    for d in range(nu):
-        run = max(run, best_by_defect[d])
-        out.append(run)
-    return out
+    return list(accumulate(best_by_defect, max))
 
 
 def aim_star(G: Graph, k: int) -> int:
@@ -208,16 +176,10 @@ def aim_star(G: Graph, k: int) -> int:
         raise InputError("aim_star is defined for graphs only")
     _check_k(G, k)
     best = 0
-    for idx, vmask in all_matchings(G):
-        if len(idx) <= best:
-            continue
-        labels = _component_labels(G, idx, vmask)
-        if len(idx) - len(set(labels)) > k - 1:
-            continue
-        part_masks: dict[int, int] = {}
-        for pos, lab in enumerate(labels):
-            part_masks[lab] = part_masks.get(lab, 0) | G.edges[idx[pos]]
-        if all(_induces_forest(G, pm) for pm in part_masks.values()):
+    for idx, _, parts in walk_matchings(G):
+        if best < len(idx) <= len(parts) + k - 1 and all(
+            _induces_forest(G, pmask) for pmask, _ in parts
+        ):
             best = len(idx)
     return best
 
@@ -245,42 +207,26 @@ def _induces_forest(G: Graph, vmask: int) -> bool:
     return True
 
 
+def best_admissible_witness(H: Hypergraph, k: int) -> AdmissibleWitness | None:
+    """The first generalized k-admissible matching, in walk order, maximizing |V(M)| - |M|."""
+    memo: dict = {}
+    best = None
+    best_value = -1
+    for idx, vmask, parts in walk_matchings(H):
+        value = vmask.bit_count() - len(idx)
+        if value > best_value and _admissible(H, len(idx), parts, k, memo):
+            best, best_value = (idx, parts), value
+    if best is None:
+        return None
+    idx, parts = best
+    return AdmissibleWitness(idx, _index_parts(H, idx, parts), k, generalized=True)
+
+
 def lower_bound(H: Hypergraph, k: int) -> int:
     """L(H,k) = max |V(M)| - |M| over generalized k-admissible matchings."""
     _check_k(H, k)
-    memo: dict = {}
-    best = -1
-    for idx, vmask in all_matchings(H):
-        if len(idx) < k:
-            continue
-        if vmask.bit_count() - len(idx) <= best:
-            continue
-        labels = _component_labels(H, idx, vmask)
-        parts = _grouped(idx, labels)
-        if len(idx) > len(parts) + k - 1:
-            continue
-        rigid = True
-        for part in parts:
-            pmask = 0
-            for i in part:
-                pmask |= H.edges[i]
-            if not _rigid(H, pmask, len(part), memo):
-                rigid = False
-                break
-        if rigid:
-            best = vmask.bit_count() - len(idx)
-    if best < 0:
+    witness = best_admissible_witness(H, k)
+    if witness is None:
         # a size-k matching refined inside a minimal generator always exists
         raise InputError("no generalized k-admissible matching found")
-    return best
-
-
-def aim_ext(H: Hypergraph, k: int) -> int:
-    """aim with the natural out-of-range extension used by deletion campaigns.
-
-    Returns 0 for an edgeless hypergraph and nu(H) for k >= nu(H).
-    """
-    if not H.edges:
-        return 0
-    nu = matching_number(H)
-    return aim(H, min(k, nu))
+    return sum(H.edges[i].bit_count() - 1 for i in witness.matching)

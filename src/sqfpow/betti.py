@@ -22,17 +22,40 @@ from .ideals import SquareFreeIdeal
 BETTI_MAX_VARS = 20
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for 2 <= p < 2^64."""
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d = p - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _check_characteristic(p: int) -> None:
     if not isinstance(p, int) or p < 2:
         raise InputError(
             f"characteristic must be a prime >= 2, got {p!r} "
             "(characteristic 0 is not supported; use a large prime such as 32003)"
         )
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise InputError(f"characteristic {p} is not prime")
-        d += 1
+    if p >> 64:
+        raise InputError(f"characteristic {p} is not below 2^64, where primality is certified")
+    if not _is_prime(p):
+        raise InputError(f"characteristic {p} is not prime")
 
 
 @dataclass

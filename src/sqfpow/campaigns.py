@@ -19,7 +19,7 @@ from multiprocessing import get_context
 from typing import Callable, Iterable
 
 from . import graphclasses
-from .admissible import aim_profile, lower_bound
+from .admissible import aim_profile, best_admissible_witness, lower_bound
 from .betti import betti_splitting_check, betti_table, regularity
 from .corpus import Corpus
 from .hypergraphs import (
@@ -308,29 +308,12 @@ def _run_lower_bound(H: Hypergraph, ctx: dict) -> list[dict]:
         }
         if not ok:
             extra = dict(data)
-            best = _best_admissible_witness(H, k)
+            best = best_admissible_witness(H, k)
             if best is not None:
                 extra["admissible_witness"] = best.to_json_dict(H)
             rec["witness"] = _failure_witness(H, k, char, extra)
         out.append(rec)
     return out
-
-
-def _best_admissible_witness(H: Hypergraph, k: int):
-    """The lexicographically least maximizing generalized witness."""
-    from .admissible import is_generalized_k_admissible
-    from .hypergraphs import all_matchings
-
-    best = None
-    best_value = -1
-    for idx, vmask in all_matchings(H):
-        value = vmask.bit_count() - len(idx)
-        if len(idx) < k or value < best_value:
-            continue
-        witness = is_generalized_k_admissible(H, idx, k)
-        if witness is not None and (value > best_value or best is None):
-            best, best_value = witness, value
-    return best
 
 
 def _run_ci_formula(H: Hypergraph, ctx: dict) -> list[dict]:

@@ -96,9 +96,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.items)
 
-    def filtered(self, predicate) -> "Corpus":
-        return Corpus([it for it in self.items if predicate(it.obj)])
-
     @classmethod
     def from_objects(cls, objs: Iterable, source: str = "<memory>") -> "Corpus":
         items = [

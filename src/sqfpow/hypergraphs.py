@@ -261,23 +261,55 @@ def disjoint_union(H1: Hypergraph, H2: Hypergraph) -> Hypergraph:
 # -- matchings ---------------------------------------------------------
 
 
-def all_matchings(H: Hypergraph) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield every nonempty matching as (sorted edge indices, vertex mask)."""
+def forcing_step(parts: tuple, e: int, vmask: int, near: Iterable[int]) -> tuple:
+    """Forcing parts of M + e from those of M.
+
+    vmask is V(M + e) and near holds the edges of the host that meet e.
+    Every edge inside V(M + e) but not inside V(M) meets e, so the parts
+    those edges touch are exactly the ones that merge with e.
+    """
+    touch = 0
+    for f in near:
+        if not f & ~vmask:
+            touch |= f
+    merged, count = e, 1
+    kept = []
+    for part in parts:
+        if part[0] & touch:
+            merged |= part[0]
+            count += part[1]
+        else:
+            kept.append(part)
+    kept.append((merged, count))
+    return tuple(kept)
+
+
+def walk_matchings(H: Hypergraph) -> Iterator[tuple[tuple[int, ...], int, tuple]]:
+    """Yield every nonempty matching M as (sorted edge indices, V(M), parts).
+
+    Matchings come in lexicographic order of their index tuples.  parts
+    are the forcing parts of M as (vertex mask, edge count) pairs: the
+    finest partition of M such that every edge of H[V(M)] lies inside
+    one part.
+    """
     edges = H.edges
     m = len(edges)
+    near = [[f for f in edges if f & e] for e in edges]
     chosen: list[int] = []
 
-    def rec(start: int, used: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    def rec(start: int, used: int, parts: tuple) -> Iterator[tuple[tuple[int, ...], int, tuple]]:
         for j in range(start, m):
             e = edges[j]
             if e & used:
                 continue
+            vmask = used | e
+            grown = forcing_step(parts, e, vmask, near[j])
             chosen.append(j)
-            yield (tuple(chosen), used | e)
-            yield from rec(j + 1, used | e)
+            yield (tuple(chosen), vmask, grown)
+            yield from rec(j + 1, vmask, grown)
             chosen.pop()
 
-    yield from rec(0, 0)
+    yield from rec(0, 0, ())
 
 
 def matching_number(H: Hypergraph) -> int:
@@ -302,14 +334,14 @@ def matching_number(H: Hypergraph) -> int:
 
 
 def induced_matching_number(H: Hypergraph) -> int:
-    """nu_1(H): maximum size of a matching M with E(H[V(M)]) = M."""
-    edges = H.edges
+    """nu_1(H): maximum size of a matching M with E(H[V(M)]) = M.
+
+    That holds iff every forcing part of M is a single edge: an edge
+    inside V(M) meeting only one edge of M is that edge (antichain).
+    """
     best = 0
-    for idx, vmask in all_matchings(H):
-        if len(idx) <= best:
-            continue
-        members = set(idx)
-        if all(e & ~vmask or i in members for i, e in enumerate(edges)):
+    for idx, _, parts in walk_matchings(H):
+        if len(parts) == len(idx) > best:
             best = len(idx)
     return best
 

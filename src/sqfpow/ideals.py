@@ -134,21 +134,6 @@ class SquareFreeIdeal:
         return cls(data["n"], data["gens"])
 
 
-def colon_by(I: SquareFreeIdeal, m: int) -> SquareFreeIdeal:
-    """(I : m) for a square-free monomial mask m."""
-    return I.colon(m)
-
-
-def plus(I: SquareFreeIdeal, J: SquareFreeIdeal) -> SquareFreeIdeal:
-    """I + J on a common universe."""
-    return I.plus(J)
-
-
-def intersect(I: SquareFreeIdeal, J: SquareFreeIdeal) -> SquareFreeIdeal:
-    """I ∩ J via pairwise lcms of the generators."""
-    return I.intersect(J)
-
-
 def edge_ideal(H: Hypergraph) -> SquareFreeIdeal:
     """I(H), generated by the edge monomials (already an antichain)."""
     return SquareFreeIdeal(H.n, H.edges)

@@ -19,6 +19,7 @@ from sqfpow import (
     lower_bound,
     matching_number,
 )
+from sqfpow.admissible import best_admissible_witness
 from test_hypergraphs import small_graphs, small_hypergraphs
 
 
@@ -259,6 +260,24 @@ class TestLowerBound:
         nu = matching_number(H)
         for k in range(1, nu + 1):
             assert lower_bound(H, k) == oracles.brute_lower_bound(H.edges, k)
+
+    @given(st.one_of(small_hypergraphs(max_edges=4), small_graphs(max_n=5)))
+    @settings(max_examples=40)
+    def test_witness_is_first_maximizer(self, H):
+        sets = oracles.masks_to_sets(H.edges)
+
+        def value(m):
+            return len(set().union(*(sets[i] for i in m))) - len(m)
+
+        for k in range(1, matching_number(H) + 1):
+            admissible = [
+                m
+                for m in sorted(oracles.brute_matchings(H.edges))
+                if oracles.brute_is_generalized_admissible(H.edges, m, k)
+            ]
+            # max keeps the first of equal values, in lexicographic order
+            first = max(admissible, key=value)
+            assert best_admissible_witness(H, k) == is_generalized_k_admissible(H, first, k)
 
     @given(small_graphs(max_n=6))
     @settings(max_examples=40)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from sqfpow import (
     sqfree_power,
     stanley_reisner_complex,
 )
+from sqfpow.betti import _check_characteristic
 from sqfpow.corpus import random_squarefree_ideal
 
 
@@ -61,6 +63,39 @@ class TestBettiTable:
             betti_table(I, 4)
         with pytest.raises(InputError):
             betti_table(I, 0)
+
+    @given(st.one_of(st.integers(2, 10**6), st.integers(2, 2**64 - 1)))
+    @settings(max_examples=300)
+    def test_primality_matches_sympy(self, p):
+        try:
+            _check_characteristic(p)
+            accepted = True
+        except InputError:
+            accepted = False
+        assert accepted == sympy.isprime(p)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            561,  # Carmichael
+            41041,  # Carmichael
+            2047,  # strong pseudoprime to base 2
+            3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+            3825123056546413051,  # strong pseudoprime to bases 2..23
+            (2**32 - 5) * (2**31 - 1),
+        ],
+    )
+    def test_rejects_pseudoprimes(self, p):
+        with pytest.raises(InputError, match="not prime"):
+            _check_characteristic(p)
+
+    @pytest.mark.parametrize("p", [2, 3, 32003, 4294967291, 2**61 - 1, 2**64 - 59])
+    def test_accepts_primes(self, p):
+        _check_characteristic(p)
+
+    def test_rejects_characteristic_from_2_64(self):
+        with pytest.raises(InputError, match="2\\^64"):
+            _check_characteristic(2**64 + 13)
 
     def test_budget(self):
         with pytest.raises(BudgetError):

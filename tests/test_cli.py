@@ -48,6 +48,11 @@ class TestReg:
         assert code == 2 and "input error" in err
 
 
+    def test_characteristic_from_2_64_exit2(self, capsys):
+        # 2^64 + 13 is prime, but primality is only certified below 2^64
+        code, _, err = run(capsys, "reg", "A_", "--char", "18446744073709551629")
+        assert code == 2 and "2^64" in err
+
 class TestAimGensBetti:
     def test_aim(self, capsys):
         code, out, _ = run(capsys, "aim", "Ch", "--k", "2")

@@ -2,7 +2,7 @@ import json
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,6 +20,7 @@ from sqfpow import (
     vertex_set,
     vertices_of,
 )
+from sqfpow.hypergraphs import walk_matchings
 
 
 @st.composite
@@ -186,6 +187,44 @@ class TestEnumerateMatchings:
         with pytest.raises(InputError):
             list(enumerate_matchings(k4, 0))
 
+
+class TestWalkMatchings:
+    # few small_hypergraphs() draws have three edges or more; graphs do
+    @given(st.one_of(small_hypergraphs(), small_graphs(max_n=6)))
+    @settings(max_examples=200)
+    def test_against_brute_force(self, H):
+        walked = list(walk_matchings(H))
+        # every nonempty matching once, in lexicographic DFS order
+        assert [idx for idx, _, _ in walked] == sorted(
+            m for m in oracles.brute_matchings(H.edges) if m
+        )
+        sets = oracles.masks_to_sets(H.edges)
+        for idx, vmask, parts in walked:
+            assert vmask == sum(H.edges[i] for i in idx)
+            ours = []
+            for pmask, count in parts:
+                part = [i for i in idx if H.edges[i] & pmask]
+                assert len(part) == count
+                assert pmask == sum(H.edges[i] for i in part)
+                ours.append(part)
+            assert sorted(i for p in ours for i in p) == list(idx)
+            # the parts meet condition (1), and every partition that meets
+            # it is a union of parts, so they form the finest such partition
+            assert oracles._condition1(sets, ours)
+            label = {i: pos for pos, part in enumerate(ours) for i in part}
+            for candidate in oracles.set_partitions(list(idx)):
+                if oracles._condition1(sets, candidate):
+                    for block in candidate:
+                        touched = {label[i] for i in block}
+                        assert set(block) == {i for t in touched for i in ours[t]}
+
+    def test_p4(self, p4):
+        assert list(walk_matchings(p4)) == [
+            ((0,), 0b0011, ((0b0011, 1),)),
+            ((0, 2), 0b1111, ((0b1111, 2),)),
+            ((1,), 0b0110, ((0b0110, 1),)),
+            ((2,), 0b1100, ((0b1100, 1),)),
+        ]
 
 class TestMatchingType:
     def test_of_validates(self, p4):
