@@ -5,6 +5,10 @@ with a machine-readable reason), runs an exact integer check per
 (instance, k), and either aborts on the first failure with a full
 witness dump (strict campaigns; a violation means an implementation
 bug and must be loud) or collects all failures (explore mode).
+
+A runner yields one `(k, data, ok, witness)` tuple per check, with
+`witness` None when `ok`; `_worker` builds every CampaignRecord from
+those tuples.
 """
 
 from __future__ import annotations
@@ -12,11 +16,10 @@ from __future__ import annotations
 import csv
 import json
 import random
-import time
 import zlib
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Callable, Iterable
+from typing import Callable, Iterator
 
 from . import graphclasses
 from .admissible import aim_profile, best_admissible_witness, lower_bound
@@ -41,38 +44,20 @@ from .ideals import (
     sqfree_power,
 )
 
-STRICT_CAMPAIGNS = {
-    "lower-bound",
-    "block-theorem",
-    "cm-chordal-2",
-    "chordal-conjecture",
-    "splitting",
-    "colon-weakly-chordal",
-    "nu1-lemmas",
-    "aim-deletion",
-    "ci-formula",
-    "reg-lemmas",
-    "restriction",
-    "polarization",
-}
-
-
 @dataclass
 class CampaignRecord:
     instance: str
     k: int | None
     data: dict
     ok: bool
-    witness: dict | None = None
-    seconds: float = 0.0
-    characteristic: int | None = None
+    witness: dict | None
+    characteristic: int
 
     def to_json_dict(self) -> dict:
         out = {
             "instance": self.instance,
             "k": self.k,
             "ok": self.ok,
-            "seconds": round(self.seconds, 6),
             "characteristic": self.characteristic,
         }
         out.update(self.data)
@@ -93,7 +78,6 @@ class CampaignReport:
     params: dict
     records: list[CampaignRecord] = field(default_factory=list)
     skips: list[SkipRecord] = field(default_factory=list)
-    cache_audits: int = 0
 
     @property
     def n_pass(self) -> int:
@@ -110,13 +94,12 @@ class CampaignReport:
     def summary_dict(self) -> dict:
         return {
             "summary": self.name,
-            "params": {k: v for k, v in self.params.items()},
+            "params": dict(self.params),
             "instances": len({r.instance for r in self.records}),
             "checks": len(self.records),
             "pass": self.n_pass,
             "fail": self.n_fail,
             "skipped": len(self.skips),
-            "cache_audits": self.cache_audits,
         }
 
     def jsonl_lines(self) -> list[str]:
@@ -154,62 +137,14 @@ class CampaignFailure(RuntimeError):
         )
 
 
-# -- the reg cache ------------------------------------------------------------
+def reg_power_cached(H: Hypergraph, k: int, char: int) -> int:
+    """reg(I(H)^[k]) over GF(char), the regularity query of every campaign.
 
-_REG_CACHE: dict = {}
-_AUDITS = 0
-
-
-def reg_power_cached(
-    H: Hypergraph, k: int, char: int, audit_rng: random.Random | None = None,
-    audit_fraction: float = 0.01,
-) -> int:
-    """reg(I(H)^[k]) keyed by the literal sorted edge set (no isomorphism dedup)."""
-    global _AUDITS
-    key = (H.n, tuple(sorted(H.edges)), k, char)
-    if key in _REG_CACHE:
-        value = _REG_CACHE[key]
-        if audit_rng is not None and audit_rng.random() < audit_fraction:
-            fresh = regularity(sqfree_power(H, k), char)
-            _AUDITS += 1
-            if fresh != value:
-                raise AssertionError(f"cache corruption at {key}: {value} vs {fresh}")
-        return value
-    value = regularity(sqfree_power(H, k), char)
-    _REG_CACHE[key] = value
-    return value
-
-
-# -- payload encoding (for worker processes) ----------------------------------
-
-
-def _encode(obj) -> tuple:
-    if isinstance(obj, Graph):
-        return ("graph", obj.n, obj.edges)
-    if isinstance(obj, Hypergraph):
-        return ("hyper", obj.n, obj.edges)
-    if isinstance(obj, SquareFreeIdeal):
-        return ("sf", obj.n, obj.gens)
-    if isinstance(obj, GeneralMonomialIdeal):
-        return ("gen", obj.n, obj.gens)
-    if isinstance(obj, tuple):
-        return ("pair",) + tuple(_encode(x) for x in obj)
-    raise InputError(f"cannot encode corpus object {obj!r}")
-
-
-def _decode(payload: tuple):
-    tag = payload[0]
-    if tag == "graph":
-        return Graph(payload[1], payload[2])
-    if tag == "hyper":
-        return Hypergraph(payload[1], payload[2])
-    if tag == "sf":
-        return SquareFreeIdeal(payload[1], payload[2])
-    if tag == "gen":
-        return GeneralMonomialIdeal(payload[1], payload[2])
-    if tag == "pair":
-        return tuple(_decode(p) for p in payload[1:])
-    raise InputError(f"cannot decode payload {payload!r}")
+    Nothing is cached: over isomorph-free corpora no query repeats. The
+    name stays because the benchmark and the tests replace this function
+    to time or to break every campaign's regularity query.
+    """
+    return regularity(sqfree_power(H, k), char)
 
 
 def _failure_witness(H: Hypergraph, k: int, char: int, extra: dict) -> dict:
@@ -241,55 +176,32 @@ def _k_values(nu: int, kmax, lo: int = 1) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _run_equality(G: Graph, ctx: dict) -> list[dict]:
+def _run_equality(G: Graph, ctx: dict) -> Iterator[tuple]:
     char = ctx["char"]
-    rng = random.Random(ctx["seed"])
     prof = aim_profile(G)
-    out = []
     for k in _k_values(len(prof), ctx.get("kmax")):
-        t0 = time.perf_counter()
-        reg = reg_power_cached(G, k, char, rng, ctx.get("audit", 0.01))
+        reg = reg_power_cached(G, k, char)
         a = prof[k - 1]
         ok = reg == a + k
-        rec = {
-            "k": k,
-            "data": {"reg": reg, "aim": a, "expected": a + k},
-            "ok": ok,
-            "characteristic": char,
-            "seconds": time.perf_counter() - t0,
-        }
-        if not ok:
-            rec["witness"] = _failure_witness(G, k, char, {"aim": a})
-        out.append(rec)
-    return out
+        witness = None if ok else _failure_witness(G, k, char, {"aim": a})
+        yield k, {"reg": reg, "aim": a, "expected": a + k}, ok, witness
 
 
-def _run_cm2(G: Graph, ctx: dict) -> list[dict]:
+def _run_cm2(G: Graph, ctx: dict) -> Iterator[tuple]:
     char = ctx["char"]
-    t0 = time.perf_counter()
     a2 = aim_profile(G)[1]
     reg = reg_power_cached(G, 2, char)
     ok = reg == a2 + 2
-    rec = {
-        "k": 2,
-        "data": {"reg": reg, "aim": a2, "expected": a2 + 2},
-        "ok": ok,
-        "characteristic": char,
-        "seconds": time.perf_counter() - t0,
-    }
-    if not ok:
-        rec["witness"] = _failure_witness(G, 2, char, {"aim": a2})
-    return [rec]
+    witness = None if ok else _failure_witness(G, 2, char, {"aim": a2})
+    yield 2, {"reg": reg, "aim": a2, "expected": a2 + 2}, ok, witness
 
 
-def _run_lower_bound(H: Hypergraph, ctx: dict) -> list[dict]:
+def _run_lower_bound(H: Hypergraph, ctx: dict) -> Iterator[tuple]:
     char = ctx["char"]
     nu = matching_number(H)
     d = H.uniform_size()
     prof = aim_profile(H) if d is not None else None
-    out = []
     for k in _k_values(nu, ctx.get("kmax")):
-        t0 = time.perf_counter()
         bound = lower_bound(H, k)
         reg = reg_power_cached(H, k, char)
         ok = reg >= bound + k
@@ -299,59 +211,39 @@ def _run_lower_bound(H: Hypergraph, ctx: dict) -> list[dict]:
             data["aim"] = a
             data["d"] = d
             ok = ok and bound == (d - 1) * a and reg >= (d - 1) * a + k
-        rec = {
-            "k": k,
-            "data": data,
-            "ok": ok,
-            "characteristic": char,
-            "seconds": time.perf_counter() - t0,
-        }
+        witness = None
         if not ok:
             extra = dict(data)
             best = best_admissible_witness(H, k)
             if best is not None:
                 extra["admissible_witness"] = best.to_json_dict(H)
-            rec["witness"] = _failure_witness(H, k, char, extra)
-        out.append(rec)
-    return out
+            witness = _failure_witness(H, k, char, extra)
+        yield k, data, ok, witness
 
 
-def _run_ci_formula(H: Hypergraph, ctx: dict) -> list[dict]:
+def _run_ci_formula(H: Hypergraph, ctx: dict) -> Iterator[tuple]:
     char = ctx["char"]
     q = len(H.edges)
     covered = H.covered().bit_count()
-    out = []
     for k in _k_values(q, ctx.get("kmax")):
-        t0 = time.perf_counter()
         reg = reg_power_cached(H, k, char)
         expected = covered - q + k
         ok = reg == expected
         if covered == H.n:
             ok = ok and reg == H.n - q + k
-        rec = {
-            "k": k,
-            "data": {"reg": reg, "expected": expected, "V": covered, "E": q},
-            "ok": ok,
-            "characteristic": char,
-            "seconds": time.perf_counter() - t0,
-        }
-        if not ok:
-            rec["witness"] = _failure_witness(H, k, char, {"expected": expected})
-        out.append(rec)
-    return out
+        witness = None if ok else _failure_witness(H, k, char, {"expected": expected})
+        yield k, {"reg": reg, "expected": expected, "V": covered, "E": q}, ok, witness
 
 
-def _run_splitting(pair: tuple, ctx: dict) -> list[dict]:
+def _run_splitting(pair: tuple, ctx: dict) -> Iterator[tuple]:
     H1, H2 = pair
     char = ctx["char"]
     nu1 = matching_number(H1)
     nu2 = matching_number(H2)
     union = disjoint_union(H1, H2)
-    out = []
     for k in range(nu1 + 1, nu1 + nu2 + 1):
         if ctx.get("kmax") is not None and k > ctx["kmax"]:
             break
-        t0 = time.perf_counter()
         J, K = splitting_for_disjoint_union(H1, H2, k)
         ideal = sqfree_power(union, k)
         sum_ok = J.plus(K) == ideal
@@ -372,23 +264,11 @@ def _run_splitting(pair: tuple, ctx: dict) -> list[dict]:
             data["reg"] = reg_union
             data["reg_bound"] = bound
             ok = sum_ok and check["ok"] and reg_union >= bound
-        rec = {
-            "k": k,
-            "data": data,
-            "ok": ok,
-            "characteristic": char,
-            "seconds": time.perf_counter() - t0,
-        }
-        if not ok:
-            rec["witness"] = _failure_witness(union, k, char, data)
-        out.append(rec)
-    return out
+        yield k, data, ok, None if ok else _failure_witness(union, k, char, data)
 
 
-def _run_colon_weakly_chordal(G: Graph, ctx: dict) -> list[dict]:
+def _run_colon_weakly_chordal(G: Graph, ctx: dict) -> Iterator[tuple]:
     i2 = sqfree_power(G, 2)
-    out = []
-    t0 = time.perf_counter()
     checked = 0
     for e in G.edges:
         x = (e & -e).bit_length() - 1
@@ -398,30 +278,13 @@ def _run_colon_weakly_chordal(G: Graph, ctx: dict) -> list[dict]:
         identity = i2.colon(e) == SquareFreeIdeal(G.n, tilde.edges)
         checked += 1
         if not (wc and identity):
-            return [
-                {
-                    "k": None,
-                    "data": {
-                        "edge": [x, y],
-                        "weakly_chordal": wc,
-                        "identity": identity,
-                    },
-                    "ok": False,
-                    "witness": _failure_witness(G, 2, ctx["char"], {"edge": [x, y]}),
-                    "seconds": time.perf_counter() - t0,
-                }
-            ]
-    return [
-        {
-            "k": None,
-            "data": {"edges_checked": checked},
-            "ok": True,
-            "seconds": time.perf_counter() - t0,
-        }
-    ]
+            data = {"edge": [x, y], "weakly_chordal": wc, "identity": identity}
+            yield None, data, False, _failure_witness(G, 2, ctx["char"], {"edge": [x, y]})
+            return
+    yield None, {"edges_checked": checked}, True, None
 
 
-def _run_nu1_lemmas(G: Graph, ctx: dict) -> list[dict]:
+def _run_nu1_lemmas(G: Graph, ctx: dict) -> Iterator[tuple]:
     parts = graphclasses.cm_clique_partition(G)
     free = graphclasses.free_vertices(G)
     a2 = aim_profile(G)[1]
@@ -429,7 +292,6 @@ def _run_nu1_lemmas(G: Graph, ctx: dict) -> list[dict]:
     for p in parts:
         for v in vertices_of(p):
             part_of[v] = p
-    t0 = time.perf_counter()
     checked = 0
     for e in G.edges:
         u = (e & -e).bit_length() - 1
@@ -445,23 +307,10 @@ def _run_nu1_lemmas(G: Graph, ctx: dict) -> list[dict]:
             nu1 = induced_matching_number(tilde)
             checked += 1
             if nu1 > a2 - 1:
-                return [
-                    {
-                        "k": 2,
-                        "data": {"edge": [x, y], "nu1_tilde": nu1, "aim2": a2},
-                        "ok": False,
-                        "witness": _failure_witness(G, 2, ctx["char"], {"edge": [x, y]}),
-                        "seconds": time.perf_counter() - t0,
-                    }
-                ]
-    return [
-        {
-            "k": 2,
-            "data": {"pairs_checked": checked, "aim2": a2},
-            "ok": True,
-            "seconds": time.perf_counter() - t0,
-        }
-    ]
+                data = {"edge": [x, y], "nu1_tilde": nu1, "aim2": a2}
+                yield 2, data, False, _failure_witness(G, 2, ctx["char"], {"edge": [x, y]})
+                return
+    yield 2, {"pairs_checked": checked, "aim2": a2}, True, None
 
 
 def _aim_ext_profile(G: Graph, cache: dict, delmask: int) -> Callable[[int], int]:
@@ -479,23 +328,15 @@ def _aim_ext_profile(G: Graph, cache: dict, delmask: int) -> Callable[[int], int
     return get
 
 
-def _run_aim_deletion(G: Graph, ctx: dict) -> list[dict]:
-    t0 = time.perf_counter()
+def _run_aim_deletion(G: Graph, ctx: dict) -> Iterator[tuple]:
     nu = matching_number(G)
     prof = aim_profile(G)
     cache: dict = {}
     checked = 0
 
-    def fail(tag: str, detail: dict) -> list[dict]:
-        return [
-            {
-                "k": None,
-                "data": {"rule": tag, **detail},
-                "ok": False,
-                "witness": {"edges": [list(vertices_of(e)) for e in G.edges], **detail},
-                "seconds": time.perf_counter() - t0,
-            }
-        ]
+    def fail(tag: str, detail: dict) -> tuple:
+        witness = {"edges": [list(vertices_of(e)) for e in G.edges], **detail}
+        return None, {"rule": tag, **detail}, False, witness
 
     if graphclasses.is_block_graph(G):
         dec = graphclasses.block_decomposition(G)
@@ -519,10 +360,11 @@ def _run_aim_deletion(G: Graph, ctx: dict) -> list[dict]:
                     for k in range(2, nu + 1):
                         checked += 1
                         if get(k - 1) > prof[k - 1] - 1:
-                            return fail(
+                            yield fail(
                                 "pendant-deletion",
                                 {"deleted": dels, "k": k, "aim_H": get(k - 1), "aim_G": prof[k - 1]},
                             )
+                            return
             # two distinct free vertices in the block
             fv = vertices_of(blk & free)
             if len(fv) >= 2:
@@ -532,18 +374,20 @@ def _run_aim_deletion(G: Graph, ctx: dict) -> list[dict]:
                 for k in range(2, nu + 1):
                     checked += 1
                     if get(k - 1) > prof[k - 1] - 1:
-                        return fail(
+                        yield fail(
                             "free-pair-deletion",
                             {"deleted": [u1, u2], "k": k, "aim_H": get(k - 1), "aim_G": prof[k - 1]},
                         )
+                        return
                 get = _aim_ext_profile(G, cache, blk)
                 for k in range(1, nu + 1):
                     checked += 1
                     if get(k) > prof[k - 1] - 1:
-                        return fail(
+                        yield fail(
                             "block-deletion",
                             {"deleted": list(bverts), "k": k, "aim_H": get(k), "aim_G": prof[k - 1]},
                         )
+                        return
     # closed-neighborhood deletion: N[y] inside N[x] lets {x,y} extend any witness
     for x in range(G.n):
         closed_x = G.adj[x] | (1 << x)
@@ -555,26 +399,18 @@ def _run_aim_deletion(G: Graph, ctx: dict) -> list[dict]:
             for k in range(1, nu + 1):
                 checked += 1
                 if get(k) > prof[k - 1] - 1:
-                    return fail(
+                    yield fail(
                         "closed-neighborhood-deletion",
                         {"x": x, "y": y, "k": k, "aim_H": get(k), "aim_G": prof[k - 1]},
                     )
-    return [
-        {
-            "k": None,
-            "data": {"checks": checked},
-            "ok": True,
-            "seconds": time.perf_counter() - t0,
-        }
-    ]
+                    return
+    yield None, {"checks": checked}, True, None
 
 
-def _run_reg_lemmas(item, ctx: dict) -> list[dict]:
+def _run_reg_lemmas(item, ctx: dict) -> Iterator[tuple]:
     char = ctx["char"]
-    out = []
     ideals = item if isinstance(item, tuple) else (item,)
     I = ideals[0]
-    t0 = time.perf_counter()
     reg_i = regularity(I, char)
     ok = True
     detail: dict = {"reg": reg_i}
@@ -605,24 +441,14 @@ def _run_reg_lemmas(item, ctx: dict) -> list[dict]:
         rhs = reg_i + regularity(J, char) - 1
         detail["disjoint_sum"] = [lhs, rhs]
         ok = lhs == rhs
-    out.append(
-        {
-            "k": None,
-            "data": detail,
-            "ok": ok,
-            "characteristic": char,
-            "seconds": time.perf_counter() - t0,
-        }
-    )
-    return out
+    yield None, detail, ok, None
 
 
-def _run_restriction(H: Hypergraph, ctx: dict) -> list[dict]:
+def _run_restriction(H: Hypergraph, ctx: dict) -> Iterator[tuple]:
     char = ctx["char"]
     nu = matching_number(H)
     ks = _k_values(nu, ctx.get("kmax"))
     rng = random.Random(ctx["seed"])
-    t0 = time.perf_counter()
     full = (1 << H.n) - 1
     if H.n <= ctx.get("wmax", 7):
         subsets = range(full + 1)
@@ -636,34 +462,18 @@ def _run_restriction(H: Hypergraph, ctx: dict) -> list[dict]:
             checked += 1
             sub_reg = regularity(sqfree_power(sub, k), char)
             if sub_reg > regs[k]:
-                return [
-                    {
-                        "k": k,
-                        "data": {"W": list(vertices_of(w)), "reg_sub": sub_reg, "reg": regs[k]},
-                        "ok": False,
-                        "witness": _failure_witness(H, k, char, {"W": list(vertices_of(w))}),
-                        "seconds": time.perf_counter() - t0,
-                    }
-                ]
-    return [
-        {
-            "k": None,
-            "data": {"checks": checked},
-            "ok": True,
-            "characteristic": char,
-            "seconds": time.perf_counter() - t0,
-        }
-    ]
+                data = {"W": list(vertices_of(w)), "reg_sub": sub_reg, "reg": regs[k]}
+                yield k, data, False, _failure_witness(H, k, char, {"W": list(vertices_of(w))})
+                return
+    yield None, {"checks": checked}, True, None
 
 
-def _run_polarization(I: GeneralMonomialIdeal, ctx: dict) -> list[dict]:
+def _run_polarization(I: GeneralMonomialIdeal, ctx: dict) -> Iterator[tuple]:
     char = ctx["char"]
     caps = [max((g[i] for g in I.gens), default=0) for i in range(I.n)]
     P = polarize(I, caps)
-    out = []
-    kmax = ctx.get("kmax") or 3
+    kmax = 3 if ctx.get("kmax") is None else ctx["kmax"]
     for k in range(1, kmax + 1):
-        t0 = time.perf_counter()
         lhs = polarize(matching_power_general(I, k), caps)
         if P.is_zero() or P.is_unit():
             rhs = lhs
@@ -676,29 +486,16 @@ def _run_polarization(I: GeneralMonomialIdeal, ctx: dict) -> list[dict]:
             rb = regularity(rhs, char)
             data["reg_lhs"], data["reg_rhs"] = ra, rb
             ok = ra == rb
-        out.append(
-            {
-                "k": k,
-                "data": data,
-                "ok": ok,
-                "characteristic": char,
-                "seconds": time.perf_counter() - t0,
-            }
-        )
+        yield k, data, ok, None
         if lhs.is_zero():
             break
-    return out
 
 
 # -- campaign registry ---------------------------------------------------------
 
 
-def _is_graph(obj) -> bool:
-    return isinstance(obj, Graph)
-
-
 def _skip_reason_graph(obj, ctx) -> str | None:
-    if not _is_graph(obj):
+    if not isinstance(obj, Graph):
         return "not-a-graph"
     if ctx.get("nmax") is not None and obj.n > ctx["nmax"]:
         return "over-nmax"
@@ -762,13 +559,6 @@ def _prepare_ci(obj, ctx):
     return None
 
 
-def _prepare_colon(obj, ctx):
-    reason = _prepare_equality_chordal(obj, ctx)
-    if reason:
-        return reason
-    return None
-
-
 def _prepare_nu1(obj, ctx):
     reason = _skip_reason_graph(obj, ctx)
     if reason:
@@ -821,7 +611,7 @@ CAMPAIGNS: dict[str, tuple[Callable, Callable]] = {
     "lower-bound": (_prepare_hypergraph, _run_lower_bound),
     "ci-formula": (_prepare_ci, _run_ci_formula),
     "splitting": (_prepare_pair, _run_splitting),
-    "colon-weakly-chordal": (_prepare_colon, _run_colon_weakly_chordal),
+    "colon-weakly-chordal": (_prepare_equality_chordal, _run_colon_weakly_chordal),
     "nu1-lemmas": (_prepare_nu1, _run_nu1_lemmas),
     "aim-deletion": (_skip_reason_graph, _run_aim_deletion),
     "reg-lemmas": (_prepare_ideal, _run_reg_lemmas),
@@ -830,23 +620,23 @@ CAMPAIGNS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def _worker(args) -> tuple[str, list[dict], int]:
-    global _AUDITS
-    name, ident, payload, ctx = args
+def _worker(args) -> list[CampaignRecord]:
+    name, ident, obj, ctx = args
     _, runner = CAMPAIGNS[name]
-    obj = _decode(payload)
-    before = _AUDITS
     ctx = dict(ctx)
-    ctx["seed"] = (ctx.get("seed", 0) * 1000003 + zlib.crc32(ident.encode())) & 0x7FFFFFFF
-    recs = runner(obj, ctx)
-    return ident, recs, _AUDITS - before
+    ctx["seed"] = (ctx["seed"] * 1000003 + zlib.crc32(ident.encode())) & 0x7FFFFFFF
+    return [
+        CampaignRecord(ident, k, data, ok, witness, characteristic=ctx["char"])
+        for k, data, ok, witness in runner(obj, ctx)
+    ]
 
 
 def run_campaign(name: str, corpus: Corpus, params: dict | None = None) -> CampaignReport:
     """Run one named campaign over a corpus; see CAMPAIGNS for the names.
 
-    Strict campaigns raise CampaignFailure on the first violated
-    identity unless params["explore"] is true.
+    Every campaign is strict: it raises CampaignFailure on the first
+    violated identity, in corpus order and also with several jobs,
+    unless params["explore"] is true.
     """
     if name not in CAMPAIGNS:
         raise InputError(f"unknown campaign {name!r} (known: {sorted(CAMPAIGNS)})")
@@ -856,46 +646,36 @@ def run_campaign(name: str, corpus: Corpus, params: dict | None = None) -> Campa
         "jobs": 1,
         "seed": 0,
         "explore": False,
-        "audit": 0.01,
     }
     ctx.update(params or {})
+    if ctx["kmax"] is not None and ctx["kmax"] < 1:
+        raise InputError(f"kmax must be at least 1, got {ctx['kmax']}")
     prepare, _ = CAMPAIGNS[name]
     report = CampaignReport(name, dict(ctx))
     tasks = []
-    count = 0
     for item in corpus:
-        if ctx.get("limit") is not None and count >= ctx["limit"]:
+        if ctx.get("limit") is not None and len(tasks) >= ctx["limit"]:
             break
         reason = prepare(item.obj, ctx)
         if reason:
             report.skips.append(SkipRecord(item.ident, reason))
             continue
-        tasks.append((name, item.ident, _encode(item.obj), ctx))
-        count += 1
+        tasks.append((name, item.ident, item.obj, ctx))
 
-    jobs = int(ctx.get("jobs") or 1)
-    results: Iterable[tuple[str, list[dict], int]]
+    def collect(results: Iterator[list[CampaignRecord]]) -> None:
+        for records in results:
+            for record in records:
+                report.records.append(record)
+                if not record.ok and not ctx["explore"]:
+                    raise CampaignFailure(name, record, report)
+
+    jobs = int(ctx["jobs"] or 1)
     if jobs > 1 and len(tasks) > 1:
+        # leaving the with block on a failure terminates the pool's workers
         with get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (jobs * 8)))
+            collect(pool.imap(_worker, tasks, chunksize=max(1, len(tasks) // (jobs * 8))))
     else:
-        results = map(_worker, tasks)
-
-    for ident, recs, audits in results:
-        report.cache_audits += audits
-        for rec in recs:
-            record = CampaignRecord(
-                instance=ident,
-                k=rec.get("k"),
-                data=rec.get("data", {}),
-                ok=rec["ok"],
-                witness=rec.get("witness"),
-                seconds=rec.get("seconds", 0.0),
-                characteristic=rec.get("characteristic"),
-            )
-            report.records.append(record)
-            if not record.ok and name in STRICT_CAMPAIGNS and not ctx.get("explore"):
-                raise CampaignFailure(name, record, report)
+        collect(map(_worker, tasks))
     return report
 
 

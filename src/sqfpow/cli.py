@@ -184,8 +184,7 @@ def _cmd_campaign(args) -> int:
         report.write_jsonl(args.out)
         if args.csv:
             report.write_csv(args.csv)
-    for line in report.jsonl_lines()[-1:]:
-        print(line)
+    print(json.dumps(report.summary_dict(), sort_keys=True))
     return 0 if report.ok else 1
 
 

@@ -139,6 +139,21 @@ class TestCampaignCommand:
         )
         assert code == 0
 
+    def test_kmax_below_one_exit2(self, capsys):
+        code, out, err = run(
+            capsys, "campaign", "chordal-conjecture", "--bundled", "connected_le7", "--kmax", "0"
+        )
+        assert code == 2 and "kmax" in err and out == ""
+
+    def test_reports_byte_identical(self, capsys, tmp_path):
+        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for path in paths:
+            code, _, _ = run(
+                capsys, "campaign", "block-theorem", "--bundled", "connected_le7", "--out", str(path)
+            )
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_failure_exit1(self, capsys, tmp_path, monkeypatch):
         import sqfpow.campaigns as camp
 
