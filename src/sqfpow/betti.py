@@ -4,17 +4,23 @@ beta_{i,j}(I) = sum over |W| = j of dim H~_{j-i-2}(Delta[W]; F), where
 Delta is the Stanley-Reisner complex of the square-free ideal I and F is
 a prime field.  Only W that are unions of generator supports contribute
 (any other restriction is a cone), and below the minimal generator
-degree inside W the complex is a full skeleton whose boundary ranks are
-binomial coefficients, so Gaussian elimination only runs on the partial
-top levels.
+degree inside W the complex is a full skeleton with no homology.
+
+Each query gives the complex of W a floor, the lowest homology degree it
+reads: betti_table the top of that full skeleton, regularity one below
+the best value found so far (no lower degree can beat it).  Only the
+face levels above the floor are built.  Full levels take their boundary
+ranks from binomial coefficients; the rest are ranked by sparse row
+elimination, on packed bit rows over GF(2) and on {column: value} rows
+of Python ints over GF(p), so the rank is exact at every accepted p.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations, count
 from math import comb
-
-import numpy as np
 
 from .hypergraphs import BudgetError, InputError
 from .ideals import SquareFreeIdeal
@@ -82,42 +88,70 @@ class BettiTable:
         )
 
 
-def _gf2_rank(rows: list[int]) -> int:
+def _gf2_boundary_pivots(faces: list[int]) -> list[int]:
+    """Pivot columns of the boundary rows of ``faces`` over GF(2); their number is the rank.
+
+    Rows are bitmasks over the facets in order of first occurrence.  Each
+    row is reduced until its highest column is no earlier row's pivot;
+    the pivot columns are returned as facet masks.
+    """
+    index = defaultdict(count().__next__)
     piv: dict[int, int] = {}
-    rank = 0
-    for row in rows:
+    for fmask in faces:
+        row = 0
+        m = fmask
+        while m:
+            low = m & -m
+            row |= 1 << index[fmask ^ low]
+            m ^= low
         while row:
-            low = row & -row
-            p = piv.get(low)
+            top = row.bit_length()
+            p = piv.get(top)
             if p is None:
-                piv[low] = row
-                rank += 1
+                piv[top] = row
                 break
             row ^= p
-    return rank
+    cols = list(index)
+    return [cols[top - 1] for top in piv]
 
 
-def _gfp_rank(a: np.ndarray, p: int) -> int:
-    a = np.mod(a, p)
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        below = np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            rows = r + 1 + below
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
-        r += 1
-    return r
+def _gfp_boundary_pivots(faces: list[int], p: int) -> list[int]:
+    """Pivot columns of the signed boundary rows of ``faces`` over GF(p); their number is the rank.
+
+    Rows are sparse {facet mask: value} dicts.  Each row is reduced until
+    its highest column is no earlier row's pivot.  Exact for any p,
+    because the arithmetic is on Python ints.  Pivot rows are kept scaled
+    to a leading 1.
+    """
+    signs = (1, p - 1)
+    piv: dict[int, dict[int, int]] = {}
+    for fmask in faces:
+        row = {}
+        m = fmask
+        pos = 0
+        while m:
+            low = m & -m
+            row[fmask ^ low] = signs[pos & 1]
+            pos += 1
+            m ^= low
+        while row:
+            col = max(row)
+            prow = piv.get(col)
+            if prow is None:
+                lead = row[col]
+                if lead != 1:
+                    inv = pow(lead, -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                piv[col] = row
+                break
+            factor = row[col]
+            for c, v in prow.items():
+                nv = (row.get(c, 0) - factor * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
+    return list(piv)
 
 
 def _closed_vertex_sets(gens: tuple[int, ...]) -> list[int]:
@@ -129,79 +163,97 @@ def _closed_vertex_sets(gens: tuple[int, ...]) -> list[int]:
     return sorted(closed)
 
 
+_BYTE_BITS = [bytes(b >> i & 1 for i in range(8)) for b in range(256)]
+
+
 def _nonface_flags(n: int, gens: tuple[int, ...]) -> bytes:
-    idx = np.arange(1 << n, dtype=np.int64)
-    flags = np.zeros(1 << n, dtype=bool)
+    """flags[m] is 1 exactly when the vertex set m contains a generator.
+
+    The table is built as one 2^n-bit integer: the bits of the generators
+    are set, then for each vertex v every marked set is copied to its
+    union with v (a superset closure in n big-integer steps), and the
+    bits are spread out to one byte per set.
+    """
+    size = 1 << n
+    marked = 0
     for g in gens:
-        flags |= (idx & g) == g
-    return flags.tobytes()
+        marked |= 1 << g
+    for v in range(n):
+        step = 1 << v
+        without_v = (1 << step) - 1
+        width = 2 * step
+        while width < size:
+            without_v |= without_v << width
+            width *= 2
+        marked |= (marked & without_v) << step
+    packed = marked.to_bytes(max(size >> 3, 1), "little")
+    return b"".join(map(_BYTE_BITS.__getitem__, packed))[:size]
 
 
 class _WComplex:
-    """Faces of Delta[W] grouped by size, with lazy boundary ranks."""
+    """The faces of Delta[W] of size above ``floor``, by size, with lazy boundary ranks.
 
-    __slots__ = ("W", "w", "faces", "f", "smax", "char", "_ranks")
+    Only the levels floor+1 .. smax are listed: the size-(floor+1)
+    subsets of W that are faces, then each higher level by adding to a
+    face a vertex of W above its top vertex.  The complex is closed
+    downward, so this lists every face once.  Level ``floor`` itself is
+    never listed: the boundary matrix of level floor+1 indexes its
+    columns by the faces that occur in its rows.
 
-    def __init__(self, W: int, nf: bytes, char: int):
-        w = W.bit_count()
-        faces: list[list[int]] = [[] for _ in range(w + 1)]
-        sub = W
-        while True:
-            if not nf[sub]:
-                faces[sub.bit_count()].append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & W
-        self.W = W
-        self.w = w
+    Ranks are computed from the top level down, with clearing: a size-s
+    face that is a pivot column of the reduced boundary of level s+1
+    has a boundary in the span of the boundaries of lower faces
+    (boundary of a boundary is zero), so its row is left out of level s.
+    """
+
+    __slots__ = ("w", "lo", "faces", "smax", "char", "_ranks", "_cleared")
+
+    def __init__(self, W: int, nf: bytes, char: int, floor: int):
+        bits = [1 << v for v in range(W.bit_length()) if W >> v & 1]
+        lo = floor + 1
+        level = [m for m in map(sum, combinations(bits, lo)) if not nf[m]]
+        faces: list[list[int]] = []
+        while level:
+            faces.append(level)
+            level = [f | b for f in level for b in bits if b > f and not nf[f | b]]
+        self.w = len(bits)
+        self.lo = lo
         self.faces = faces
-        self.f = [len(level) for level in faces]
-        self.smax = max((s for s in range(w + 1) if self.f[s]), default=0)
+        self.smax = lo + len(faces) - 1
         self.char = char
         self._ranks: dict[int, int] = {}
+        self._cleared: dict[int, set[int]] = {}
 
     def boundary_rank(self, s: int) -> int:
         """Rank of the boundary map from size-s chains to size-(s-1) chains."""
-        if s < 1 or s > self.smax or self.f[s] == 0:
+        if s < 1 or s > self.smax:
             return 0
         cached = self._ranks.get(s)
         if cached is not None:
             return cached
-        if self.f[s] == comb(self.w, s) and self.f[s - 1] == comb(self.w, s - 1):
+        level = self.faces[s - self.lo]
+        if len(level) == comb(self.w, s):
             rank = comb(self.w - 1, s - 1)
-        elif self.char == 2:
-            index = {mask: i for i, mask in enumerate(self.faces[s - 1])}
-            rows = []
-            for fmask in self.faces[s]:
-                row = 0
-                m = fmask
-                while m:
-                    low = m & -m
-                    row |= 1 << index[fmask ^ low]
-                    m ^= low
-                rows.append(row)
-            rank = _gf2_rank(rows)
         else:
-            index = {mask: i for i, mask in enumerate(self.faces[s - 1])}
-            mat = np.zeros((self.f[s], self.f[s - 1]), dtype=np.int64)
-            for r, fmask in enumerate(self.faces[s]):
-                m = fmask
-                pos = 0
-                while m:
-                    low = m & -m
-                    mat[r, index[fmask ^ low]] = 1 if pos % 2 == 0 else self.char - 1
-                    pos += 1
-                    m ^= low
-            rank = _gfp_rank(mat, self.char)
+            self.boundary_rank(s + 1)  # its pivots clear rows of this level
+            cleared = self._cleared.pop(s, ())
+            kept = [f for f in level if f not in cleared] if cleared else level
+            if self.char == 2:
+                pivots = _gf2_boundary_pivots(kept)
+            else:
+                pivots = _gfp_boundary_pivots(kept, self.char)
+            if s > self.lo:
+                self._cleared[s - 1] = set(pivots)
+            rank = len(pivots)
         self._ranks[s] = rank
         return rank
 
     def homology_dim(self, t: int) -> int:
-        """dim H~_t(Delta[W]; F); size level s = t + 1, with f_{-1} = 1."""
+        """dim H~_t(Delta[W]; F) for t >= floor; size level s = t + 1, with f_{-1} = 1."""
         s = t + 1
-        if s < 0 or s > self.smax:
+        if s > self.smax:
             return 0
-        return self.f[s] - self.boundary_rank(s) - self.boundary_rank(s + 1)
+        return len(self.faces[s - self.lo]) - self.boundary_rank(s) - self.boundary_rank(s + 1)
 
 
 def _validate(I: SquareFreeIdeal, characteristic: int, allow_degenerate: bool) -> None:
@@ -224,9 +276,9 @@ def betti_table(I: SquareFreeIdeal, characteristic: int = 2) -> BettiTable:
     nf = _nonface_flags(I.n, I.gens)
     entries: dict[tuple[int, int], int] = {}
     for W in _closed_vertex_sets(I.gens):
-        wc = _WComplex(W, nf, characteristic)
-        j = wc.w
         floor = max(_min_degree_inside(I.gens, W) - 2, -1)
+        wc = _WComplex(W, nf, characteristic, floor)
+        j = wc.w
         for t in range(wc.smax - 1, floor - 1, -1):
             h = wc.homology_dim(t)
             if h:
@@ -254,9 +306,10 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
     for W in closed:
         if W.bit_count() <= best:
             break
-        wc = _WComplex(W, nf, characteristic)
-        floor = max(best - 1, _min_degree_inside(I.gens, W) - 2, -1)
-        for t in range(wc.smax - 1, floor - 1, -1):
+        # best >= every generator degree, so best - 1 is at or above the
+        # full-skeleton floor of betti_table, and no t below it can beat best.
+        wc = _WComplex(W, nf, characteristic, best - 1)
+        for t in range(wc.smax - 1, best - 2, -1):
             if wc.homology_dim(t) > 0:
                 best = t + 2
                 break

@@ -175,7 +175,6 @@ def _cmd_campaign(args) -> int:
         report = run_campaign(args.name, corpus, params)
     except CampaignFailure as failure:
         report = failure.report
-        report.records.append(failure.record)
         if args.out:
             report.write_jsonl(args.out)
         print(str(failure), file=sys.stderr)

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -9,8 +13,10 @@ import oracles
 from conftest import cycle_graph
 from sqfpow import (
     BudgetError,
+    Graph,
     InputError,
     SquareFreeIdeal,
+    aim,
     betti_splitting_check,
     betti_table,
     edge_ideal,
@@ -18,7 +24,7 @@ from sqfpow import (
     sqfree_power,
     stanley_reisner_complex,
 )
-from sqfpow.betti import _check_characteristic
+from sqfpow.betti import _check_characteristic, _nonface_flags
 from sqfpow.corpus import random_squarefree_ideal
 
 
@@ -101,6 +107,14 @@ class TestBettiTable:
         with pytest.raises(BudgetError):
             betti_table(SquareFreeIdeal(21, [(0, 1)]))
 
+    @given(st.integers(0, 9), st.lists(st.integers(0, 2**9 - 1), max_size=5))
+    def test_nonface_flags_mark_supersets(self, n, masks):
+        gens = [m & ((1 << n) - 1) for m in masks]
+        flags = _nonface_flags(n, tuple(gens))
+        assert len(flags) == 1 << n
+        for m in range(1 << n):
+            assert flags[m] == any(g & m == g for g in gens)
+
     def test_csv_rows(self):
         I = SquareFreeIdeal(3, [(0, 1), (1, 2)])
         assert betti_table(I).csv_rows() == ["0,2,2", "1,3,1"]
@@ -119,6 +133,15 @@ class TestBettiTable:
         I = random_squarefree_ideal(rng, n_range=(2, 5), max_gens=4)
         assert betti_table(I, 32003).entries == taylor_entries(I, 32003)
 
+    @pytest.mark.parametrize("p", [4294967291, 2**64 - 59])
+    @given(seed=st.integers(0, 500))
+    @settings(max_examples=30, deadline=None)
+    def test_hochster_vs_taylor_large_prime(self, p, seed):
+        # residues near 2^32 and 2^64 overflow any fixed-width product
+        rng = random.Random(seed)
+        I = random_squarefree_ideal(rng, n_range=(2, 6), max_gens=4)
+        assert betti_table(I, p).entries == taylor_entries(I, p)
+
 
 class TestRegularity:
     def test_conventions(self):
@@ -136,6 +159,45 @@ class TestRegularity:
         for _ in range(40):
             I = random_squarefree_ideal(rng, n_range=(2, 7), max_gens=5)
             assert regularity(I) == betti_table(I).regularity()
+
+    @pytest.mark.parametrize("p", [2, 3, 32003, 4294967291])
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_pruned_regularity_matches_table(self, p, seed):
+        # regularity lists only the levels above its running floor best - 1,
+        # betti_table every level above the full skeleton
+        rng = random.Random(seed)
+        I = random_squarefree_ideal(rng, n_range=(2, 8), max_gens=6)
+        assert regularity(I, p) == betti_table(I, p).regularity()
+
+    def test_18_vertex_query_in_bounded_memory(self):
+        # reg(I(G)^[3]) at 32003 for an 18-vertex block graph (five triangles
+        # and seven edges chained in a path), in a child process whose address
+        # space is capped at 1 GiB; a dense boundary matrix here passes 1 GiB
+        sizes = [3, 3, 2, 2, 2, 3, 2, 3, 2, 2, 3, 2]
+        edges, start = [], 0
+        for size in sizes:
+            block = range(start, start + size)
+            edges += [(u, v) for u in block for v in block if u < v]
+            start += size - 1
+        G = Graph(start + 1, edges)
+        assert G.n == 18 and aim(G, 3) + 3 == 10
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from sqfpow import Graph, regularity, sqfree_power\n"
+            f"G = Graph(18, {edges!r})\n"
+            "print(regularity(sqfree_power(G, 3), 32003))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", child],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "10"
 
     def test_known_edge_ideals(self, c5, k4):
         # frozen from the Taylor oracle (C5 is not weakly chordal: reg > nu1+1)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from sqfpow.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -75,6 +81,15 @@ class TestAimGensBetti:
     def test_betti_char(self, capsys):
         code, out, _ = run(capsys, "betti", "Bw", "--char", "32003")
         assert code == 0 and "0,2,3" in out
+
+    def test_betti_large_prime(self, capsys):
+        # 4294967291 = 2^32 - 5: products of residues pass 2^63, so the rank
+        # arithmetic must not be fixed-width
+        code, out, _ = run(
+            capsys, "betti", '{"n": 5, "gens": [[1, 3, 4], [0, 2, 3, 4]]}', "--char", "4294967291"
+        )
+        assert code == 0
+        assert out.splitlines() == ["i,j,beta", "0,3,1", "0,4,1", "1,5,1"]
 
 
 class TestClassify:
@@ -173,3 +188,28 @@ class TestCampaignCommand:
         assert code == 1
         assert "failed" in err
         assert out_path.exists()
+
+    def test_failure_record_written_once(self, capsys, tmp_path, monkeypatch):
+        import sqfpow.campaigns as camp
+
+        monkeypatch.setattr(camp, "reg_power_cached", lambda *a, **kw: 99)
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("A_\nBw\n")
+        out_path = tmp_path / "report.jsonl"
+        code, _, _ = run(
+            capsys, "campaign", "chordal-conjecture", "--corpus", str(corpus), "--out", str(out_path)
+        )
+        assert code == 1
+        lines = [json.loads(line) for line in out_path.read_text().splitlines()]
+        records = [line for line in lines if "summary" not in line]
+        assert len(records) == 1 and records[0]["ok"] is False
+        assert lines[-1]["checks"] == 1 and lines[-1]["fail"] == 1
+
+
+class TestImport:
+    def test_no_numpy(self):
+        code = "import sqfpow, sqfpow.cli, sys; assert 'numpy' not in sys.modules"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True
+        )
+        assert result.returncode == 0, result.stderr.decode()
