@@ -13,6 +13,13 @@ face levels above the floor are built.  Full levels take their boundary
 ranks from binomial coefficients; the rest are ranked by sparse row
 elimination, on packed bit rows over GF(2) and on {column: value} rows
 of Python ints over GF(p), so the rank is exact at every accepted p.
+
+regularity scans W from the largest down and stops at |W| = best + 1:
+on m vertices H~_{m-2} is nonzero only for the boundary of the simplex,
+whose vertex set is a generator, and no generator is bigger than best.
+It lists the floor level of the whole complex once per value of best
+and cuts each W's floor level out of that list when the list is the
+shorter one.
 """
 
 from __future__ import annotations
@@ -154,13 +161,13 @@ def _gfp_boundary_pivots(faces: list[int], p: int) -> list[int]:
     return list(piv)
 
 
-def _closed_vertex_sets(gens: tuple[int, ...]) -> list[int]:
+def _closed_vertex_sets(gens: tuple[int, ...]) -> set[int]:
     """All unions of generator supports (the only W with homology)."""
     closed = {0}
     for g in gens:
         closed |= {m | g for m in closed}
     closed.discard(0)
-    return sorted(closed)
+    return closed
 
 
 _BYTE_BITS = [bytes(b >> i & 1 for i in range(8)) for b in range(256)]
@@ -190,6 +197,15 @@ def _nonface_flags(n: int, gens: tuple[int, ...]) -> bytes:
     return b"".join(map(_BYTE_BITS.__getitem__, packed))[:size]
 
 
+def _vertex_bits(W: int) -> list[int]:
+    return [1 << v for v in range(W.bit_length()) if W >> v & 1]
+
+
+def _face_level(bits: list[int], size: int, nf: bytes) -> list[int]:
+    """The faces of the given size on the vertices ``bits``, in lexicographic order."""
+    return [m for m in map(sum, combinations(bits, size)) if not nf[m]]
+
+
 class _WComplex:
     """The faces of Delta[W] of size above ``floor``, by size, with lazy boundary ranks.
 
@@ -200,6 +216,11 @@ class _WComplex:
     never listed: the boundary matrix of level floor+1 indexes its
     columns by the faces that occur in its rows.
 
+    ``shared``, when given, lists the size-(floor+1) faces of a complex
+    on a superset of W in lexicographic order; if it is shorter than the
+    comb(|W|, floor+1) subsets to test, level floor+1 is the faces of
+    ``shared`` inside W, in the same order as the subsets would give.
+
     Ranks are computed from the top level down, with clearing: a size-s
     face that is a pivot column of the reduced boundary of level s+1
     has a boundary in the span of the boundaries of lower faces
@@ -208,10 +229,13 @@ class _WComplex:
 
     __slots__ = ("w", "lo", "faces", "smax", "char", "_ranks", "_cleared")
 
-    def __init__(self, W: int, nf: bytes, char: int, floor: int):
-        bits = [1 << v for v in range(W.bit_length()) if W >> v & 1]
+    def __init__(self, W: int, nf: bytes, char: int, floor: int, shared: list[int] | None = None):
+        bits = _vertex_bits(W)
         lo = floor + 1
-        level = [m for m in map(sum, combinations(bits, lo)) if not nf[m]]
+        if shared is not None and len(shared) < comb(len(bits), lo):
+            level = [f for f in shared if not f & ~W]
+        else:
+            level = _face_level(bits, lo, nf)
         faces: list[list[int]] = []
         while level:
             faces.append(level)
@@ -275,7 +299,7 @@ def betti_table(I: SquareFreeIdeal, characteristic: int = 2) -> BettiTable:
     _validate(I, characteristic, allow_degenerate=False)
     nf = _nonface_flags(I.n, I.gens)
     entries: dict[tuple[int, int], int] = {}
-    for W in _closed_vertex_sets(I.gens):
+    for W in sorted(_closed_vertex_sets(I.gens)):
         floor = max(_min_degree_inside(I.gens, W) - 2, -1)
         wc = _WComplex(W, nf, characteristic, floor)
         j = wc.w
@@ -291,7 +315,11 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
     """reg(I) = max{j - i : beta_{i,j} != 0}; 0 for the zero and unit ideals.
 
     Fast path: tracks the best value seen and skips every W (and every
-    homology degree) that cannot beat it.
+    homology degree) that cannot beat it.  W are scanned by decreasing
+    size, down to |W| = best + 2.  The floor level of each complex, its
+    size-best faces, is cut from one list of the size-best faces of the
+    whole complex, built again only when best changes, whenever that
+    list is shorter than the comb(|W|, best) subsets of W.
     """
     _check_characteristic(characteristic)
     if I.is_zero() or I.is_unit():
@@ -301,17 +329,28 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
             f"n={I.n} exceeds the subset-homology budget of {BETTI_MAX_VARS} variables"
         )
     best = I.max_degree()
-    closed = sorted(_closed_vertex_sets(I.gens), key=lambda m: (-m.bit_count(), -m))
+    # by decreasing size, then decreasing mask: two stable sorts on C keys
+    closed = sorted(_closed_vertex_sets(I.gens), reverse=True)
+    closed.sort(key=int.bit_count, reverse=True)
     nf = _nonface_flags(I.n, I.gens)
+    shared = None
     for W in closed:
-        if W.bit_count() <= best:
+        # A W on m vertices can beat best only through H~_t with t >= best - 1
+        # and t <= m - 2, since W is a nonface.  For m = best + 1 that leaves
+        # H~_{m-2}, which is nonzero only when every proper subset of W is a
+        # face: then W is a minimal nonface, a generator of degree m > best,
+        # but best >= every generator degree.  So |W| = best + 1 ends the scan.
+        if W.bit_count() <= best + 1:
             break
+        if shared is None:  # closed[0] is the support of I
+            shared = _face_level(_vertex_bits(closed[0]), best, nf)
         # best >= every generator degree, so best - 1 is at or above the
         # full-skeleton floor of betti_table, and no t below it can beat best.
-        wc = _WComplex(W, nf, characteristic, best - 1)
+        wc = _WComplex(W, nf, characteristic, best - 1, shared)
         for t in range(wc.smax - 1, best - 2, -1):
             if wc.homology_dim(t) > 0:
                 best = t + 2
+                shared = None
                 break
     return best
 

@@ -8,6 +8,7 @@ lcm is bitwise or.  General monomial ideals carry exponent vectors.
 from __future__ import annotations
 
 import json
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .hypergraphs import (
@@ -21,11 +22,17 @@ from .hypergraphs import (
 
 
 def _interreduce_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    """The minimal masks, by (degree, mask).
+
+    Distinct masks of one degree never divide each other, so each mask is
+    tested only against the kept masks of strictly lower degree.
+    """
+    uniq = sorted(set(masks))
+    uniq.sort(key=int.bit_count)
     kept: list[int] = []
-    for m in uniq:
-        if not any(g & m == g for g in kept):
-            kept.append(m)
+    for _, same_degree in groupby(uniq, key=int.bit_count):
+        # the list is built before it extends kept, so only lower degrees are tested
+        kept += [m for m in same_degree if not any(g & m == g for g in kept)]
     return tuple(kept)
 
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,26 @@ from sqfpow import (
     sqfree_power,
     stanley_reisner_complex,
 )
+from sqfpow import betti
 from sqfpow.betti import _check_characteristic, _nonface_flags
 from sqfpow.corpus import random_squarefree_ideal
+
+
+def _random_graph(rng, n, density):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+
+
+def _spy_complexes(mp):
+    """Records (W, floor, further arguments) of every complex regularity builds."""
+    built = []
+    real = betti._WComplex
+
+    def spy(W, nf, char, floor, *rest):
+        built.append((W, floor, rest))
+        return real(W, nf, char, floor, *rest)
+
+    mp.setattr(betti, "_WComplex", spy)
+    return built
 
 
 def taylor_entries(I, p):
@@ -169,6 +188,45 @@ class TestRegularity:
         rng = random.Random(seed)
         I = random_squarefree_ideal(rng, n_range=(2, 8), max_gens=6)
         assert regularity(I, p) == betti_table(I, p).regularity()
+
+    def test_scan_stops_at_best_plus_one(self):
+        # a W on best + 1 vertices could beat best only through
+        # H~_{|W|-2}, which needs W to be a generator of degree > best
+        rng = random.Random(11)
+        ideals = [random_squarefree_ideal(rng, n_range=(4, 9), max_gens=7) for _ in range(40)]
+        for n in (7, 8, 9):
+            G = _random_graph(rng, n, 0.4)
+            ideals += [sqfree_power(G, k) for k in (1, 2, 3)]
+        scanned = 0
+        for I in ideals:
+            for p in (2, 32003):
+                with pytest.MonkeyPatch.context() as mp:
+                    built = _spy_complexes(mp)
+                    reg = regularity(I, p)
+                assert all(W.bit_count() > floor + 2 for W, floor, _ in built)
+                assert reg == betti_table(I, p).regularity()
+                scanned += len(built)
+        assert scanned > 100
+
+    @pytest.mark.parametrize("p", [2, 32003])
+    def test_floor_level_cut_from_shared_list(self, p):
+        # the cut-from-shared path must run, and give the table's regularity
+        rng = random.Random(p)
+        cuts = 0
+        for n in (10, 11, 12):
+            G = _random_graph(rng, n, 0.3)
+            for k in (2, 3):
+                I = sqfree_power(G, k)
+                with pytest.MonkeyPatch.context() as mp:
+                    built = _spy_complexes(mp)
+                    reg = regularity(I, p)
+                assert reg == betti_table(I, p).regularity()
+                cuts += sum(
+                    1
+                    for W, floor, rest in built
+                    if rest and len(rest[0]) < comb(W.bit_count(), floor + 1)
+                )
+        assert cuts > 0
 
     def test_18_vertex_query_in_bounded_memory(self):
         # reg(I(G)^[3]) at 32003 for an 18-vertex block graph (five triangles

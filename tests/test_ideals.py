@@ -36,6 +36,14 @@ class TestSquareFreeIdeal:
         I = SquareFreeIdeal(3, [(0, 1), (0, 1, 2), (0, 1)])
         assert I.gens == (0b011,)
 
+    @given(st.lists(st.integers(0, 2**7 - 1), max_size=24))
+    def test_interreduction_is_minimal_elements(self, masks):
+        # duplicates and mixed degrees, against the brute-force minimal elements
+        masks = masks + masks[::3]
+        minimal = {m for m in masks if not any(g != m and g & m == g for g in masks)}
+        gens = SquareFreeIdeal(7, masks).gens
+        assert gens == tuple(sorted(minimal, key=lambda m: (m.bit_count(), m)))
+
     def test_zero_and_unit(self):
         assert SquareFreeIdeal(3).is_zero()
         I = SquareFreeIdeal(3, [(), (0, 1)])
