@@ -19,11 +19,9 @@ from .admissible import (
 )
 from .betti import (
     BettiTable,
-    SimplicialComplex,
     betti_splitting_check,
     betti_table,
     regularity,
-    stanley_reisner_complex,
 )
 from .campaigns import (
     CampaignFailure,

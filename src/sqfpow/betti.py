@@ -20,6 +20,27 @@ whose vertex set is a generator, and no generator is bigger than best.
 It lists the floor level of the whole complex once per value of best
 and cuts each W's floor level out of that list when the list is the
 shorter one.
+
+Most W have no homology above the floor, and regularity shows that from
+the link of one vertex v of W, the faces through v, before it builds
+Delta[W].  Delta[W] is Delta[W - v] glued to the cone over lk v along
+lk v, so there is an exact sequence, at every characteristic,
+
+    H~_t(Delta[W - v]) -> H~_t(Delta[W]) -> H~_{t-1}(lk v).
+
+(When v itself is a generator, lk v has no faces at all and Delta[W] is
+Delta[W - v].)  If lk v has no homology in degrees >= best - 2, every
+class of Delta[W] that could beat best (t >= best - 1) comes from
+Delta[W - v], which would beat best as well.  W - v is either not a
+union of generators (a cone, with no homology), or at most best + 1 in
+size (it cannot beat best, by the stop rule above), or scanned itself;
+so a smallest W that beats best is never skipped, and W is skipped.  If
+lk v has homology and W - v is a cone, H~_t(Delta[W]) = H~_{t-1}(lk v),
+so best becomes the top link degree + 3 without Delta[W].  Only when
+lk v has homology and W - v is a union of generators is Delta[W] built.
+The link is a _WComplex on W - v with v as its apex bit; its floor level
+is cut from the list of size-best faces through v when that list is the
+shorter one.
 """
 
 from __future__ import annotations
@@ -201,25 +222,23 @@ def _vertex_bits(W: int) -> list[int]:
     return [1 << v for v in range(W.bit_length()) if W >> v & 1]
 
 
-def _face_level(bits: list[int], size: int, nf: bytes) -> list[int]:
-    """The faces of the given size on the vertices ``bits``, in lexicographic order."""
-    return [m for m in map(sum, combinations(bits, size)) if not nf[m]]
+def _face_level(bits: list[int], size: int, nf: bytes, apex: int = 0) -> list[int]:
+    """The size-``size`` sets on ``bits`` that are faces with ``apex`` added, in lex order."""
+    return [m for m in map(sum, combinations(bits, size)) if not nf[m | apex]]
 
 
 class _WComplex:
     """The faces of Delta[W] of size above ``floor``, by size, with lazy boundary ranks.
 
-    Only the levels floor+1 .. smax are listed: the size-(floor+1)
-    subsets of W that are faces, then each higher level by adding to a
-    face a vertex of W above its top vertex.  The complex is closed
-    downward, so this lists every face once.  Level ``floor`` itself is
-    never listed: the boundary matrix of level floor+1 indexes its
-    columns by the faces that occur in its rows.
+    Only the levels floor+1 .. smax are listed: ``level``, the size-(floor+1)
+    faces (or, when it is None, the subsets of W of that size that are
+    faces), then each higher level by adding to a face a vertex of W above
+    its top vertex.  The complex is closed downward, so this lists every
+    face once.  Level ``floor`` itself is never listed: the boundary matrix
+    of level floor+1 indexes its columns by the faces that occur in its rows.
 
-    ``shared``, when given, lists the size-(floor+1) faces of a complex
-    on a superset of W in lexicographic order; if it is shorter than the
-    comb(|W|, floor+1) subsets to test, level floor+1 is the faces of
-    ``shared`` inside W, in the same order as the subsets would give.
+    With an ``apex`` bit v outside W this is the link of v in Delta[W + v]:
+    the sets F inside W with F + v a face, every level tested with v added.
 
     Ranks are computed from the top level down, with clearing: a size-s
     face that is a pivot column of the reduced boundary of level s+1
@@ -229,17 +248,18 @@ class _WComplex:
 
     __slots__ = ("w", "lo", "faces", "smax", "char", "_ranks", "_cleared")
 
-    def __init__(self, W: int, nf: bytes, char: int, floor: int, shared: list[int] | None = None):
+    def __init__(
+        self, W: int, nf: bytes, char: int, floor: int, level: list[int] | None = None,
+        apex: int = 0,
+    ):
         bits = _vertex_bits(W)
         lo = floor + 1
-        if shared is not None and len(shared) < comb(len(bits), lo):
-            level = [f for f in shared if not f & ~W]
-        else:
-            level = _face_level(bits, lo, nf)
+        if level is None:
+            level = _face_level(bits, lo, nf, apex)
         faces: list[list[int]] = []
         while level:
             faces.append(level)
-            level = [f | b for f in level for b in bits if b > f and not nf[f | b]]
+            level = [f | b for f in level for b in bits if b > f and not nf[f | b | apex]]
         self.w = len(bits)
         self.lo = lo
         self.faces = faces
@@ -279,6 +299,13 @@ class _WComplex:
             return 0
         return len(self.faces[s - self.lo]) - self.boundary_rank(s) - self.boundary_rank(s + 1)
 
+    def top_degree(self) -> int | None:
+        """The largest t >= floor with H~_t != 0, or None when there is none."""
+        for t in range(self.smax - 1, self.lo - 2, -1):
+            if self.homology_dim(t):
+                return t
+        return None
+
 
 def _validate(I: SquareFreeIdeal, characteristic: int, allow_degenerate: bool) -> None:
     _check_characteristic(characteristic)
@@ -316,10 +343,31 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
 
     Fast path: tracks the best value seen and skips every W (and every
     homology degree) that cannot beat it.  W are scanned by decreasing
-    size, down to |W| = best + 2.  The floor level of each complex, its
-    size-best faces, is cut from one list of the size-best faces of the
-    whole complex, built again only when best changes, whenever that
-    list is shorter than the comb(|W|, best) subsets of W.
+    size, down to |W| = best + 2; W beats best only through some
+    H~_t(Delta[W]) != 0 with t >= best - 1.  Before Delta[W] is built,
+    the link of one vertex v of W is ranked: the vertex of W that lies in
+    the fewest size-best faces of the whole complex.  The exact sequence
+
+        H~_t(Delta[W - v]) -> H~_t(Delta[W]) -> H~_{t-1}(lk v)
+
+    decides three cases:
+
+    - H~_{>= best-2}(lk v) = 0: every class of Delta[W] that could beat
+      best is the image of one of Delta[W - v], so W is skipped.  W - v is
+      covered: it is a cone if it is not a union of generators, it cannot
+      beat best if it has at most best + 1 vertices, and it is scanned
+      itself otherwise.  The smallest W that beats best is never skipped.
+    - W - v is not a union of generators: Delta[W - v] is a cone, so
+      H~_t(Delta[W]) = H~_{t-1}(lk v) and best = top link degree + 3.
+    - otherwise Delta[W] is built and ranked as well.
+
+    The floor levels, the size-best faces of Delta[W] and the
+    size-(best - 1) faces of the link, are cut from one list of the
+    size-best faces of the whole complex, built again only when best
+    changes, and from its split by vertex (through[v]).  Each complex
+    cuts its level from its list only when the list is shorter than the
+    subsets it would test instead: comb(|W|, best) for Delta[W],
+    comb(|W| - 1, best - 1) for the link.
     """
     _check_characteristic(characteristic)
     if I.is_zero() or I.is_unit():
@@ -329,29 +377,45 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
             f"n={I.n} exceeds the subset-homology budget of {BETTI_MAX_VARS} variables"
         )
     best = I.max_degree()
+    closed = _closed_vertex_sets(I.gens)
     # by decreasing size, then decreasing mask: two stable sorts on C keys
-    closed = sorted(_closed_vertex_sets(I.gens), reverse=True)
-    closed.sort(key=int.bit_count, reverse=True)
+    scan = sorted(closed, reverse=True)
+    scan.sort(key=int.bit_count, reverse=True)
     nf = _nonface_flags(I.n, I.gens)
     shared = None
-    for W in closed:
+    for W in scan:
         # A W on m vertices can beat best only through H~_t with t >= best - 1
         # and t <= m - 2, since W is a nonface.  For m = best + 1 that leaves
         # H~_{m-2}, which is nonzero only when every proper subset of W is a
         # face: then W is a minimal nonface, a generator of degree m > best,
         # but best >= every generator degree.  So |W| = best + 1 ends the scan.
-        if W.bit_count() <= best + 1:
+        size = W.bit_count()
+        if size <= best + 1:
             break
-        if shared is None:  # closed[0] is the support of I
-            shared = _face_level(_vertex_bits(closed[0]), best, nf)
+        if shared is None:  # scan[0] is the support of I
+            support = _vertex_bits(scan[0])
+            shared = _face_level(support, best, nf)
+            through = {b: [f for f in shared if f & b] for b in support}
+            pick = sorted(support, key=lambda b: len(through[b]))
+        v = next(b for b in pick if W & b)
+        if len(through[v]) < comb(size - 1, best - 1):
+            link_level = [f ^ v for f in through[v] if not f & ~W]
+        else:
+            link_level = None
+        top = _WComplex(W ^ v, nf, characteristic, best - 2, link_level, v).top_degree()
+        if top is None:
+            continue
+        if W ^ v not in closed:
+            best = top + 3
+            shared = None
+            continue
         # best >= every generator degree, so best - 1 is at or above the
         # full-skeleton floor of betti_table, and no t below it can beat best.
-        wc = _WComplex(W, nf, characteristic, best - 1, shared)
-        for t in range(wc.smax - 1, best - 2, -1):
-            if wc.homology_dim(t) > 0:
-                best = t + 2
-                shared = None
-                break
+        level = [f for f in shared if not f & ~W] if len(shared) < comb(size, best) else None
+        top = _WComplex(W, nf, characteristic, best - 1, level).top_degree()
+        if top is not None:
+            best = top + 2
+            shared = None
     return best
 
 
@@ -382,58 +446,3 @@ def betti_splitting_check(
         if bi.get(key, 0) != rhs:
             violations.append({"i": i, "j": j, "beta_I": bi.get(key, 0), "rhs": rhs})
     return {"ok": not violations, "violations": violations}
-
-
-# -- Stanley-Reisner complexes (artifact plumbing) --------------------------
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Facet description of a simplicial complex; faces are all subsets."""
-
-    n: int
-    facets: tuple[int, ...]
-
-    def is_face(self, mask: int) -> bool:
-        return any(mask & fac == mask for fac in self.facets)
-
-    def faces_by_size(self) -> list[list[int]]:
-        seen: set[int] = set()
-        for fac in self.facets:
-            sub = fac
-            while True:
-                seen.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & fac
-        out: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for mask in sorted(seen):
-            out[mask.bit_count()].append(mask)
-        return out
-
-
-def stanley_reisner_complex(I: SquareFreeIdeal) -> SimplicialComplex:
-    """Faces are the square-free monomials outside I; facets via minimal covers."""
-    if I.is_zero():
-        return SimplicialComplex(I.n, ((1 << I.n) - 1,) if I.n else (0,))
-    if I.is_unit():
-        raise InputError("the unit ideal has the void complex")
-    covers: list[int] = [0]
-    for g in I.gens:
-        nxt: set[int] = set()
-        for c in covers:
-            if c & g:
-                nxt.add(c)
-                continue
-            m = g
-            while m:
-                low = m & -m
-                nxt.add(c | low)
-                m ^= low
-        covers = []
-        for c in sorted(nxt, key=lambda m: (m.bit_count(), m)):
-            if not any(prev & c == prev for prev in covers):
-                covers.append(c)
-    full = (1 << I.n) - 1
-    facets = tuple(sorted(full & ~c for c in covers))
-    return SimplicialComplex(I.n, facets)

@@ -219,13 +219,17 @@ class TestAim:
         assert len(prof) == nu
         if not prof:
             return
-        assert prof[0] == induced_matching_number(G)
+        assert prof[0] == oracles.brute_induced_matching_number(G.edges)
         for k in range(1, nu + 1):
             assert prof[k - 1] == aim(G, k)
             assert prof[k - 1] >= k
             if k >= 2:
                 assert prof[k - 2] <= prof[k - 1] <= prof[k - 2] + 1
         assert prof[-1] <= nu
+
+    def test_profile_length_is_nu_not_largest_defect(self):
+        # 2K2: the one matching of size 2 has two parts, so its defect is 0
+        assert aim_profile(Graph(4, [(0, 1), (2, 3)])) == [2, 2]
 
     @given(small_graphs(max_n=6))
     @settings(max_examples=40)

@@ -23,7 +23,6 @@ from sqfpow import (
     edge_ideal,
     regularity,
     sqfree_power,
-    stanley_reisner_complex,
 )
 from sqfpow import betti
 from sqfpow.betti import _check_characteristic, _nonface_flags
@@ -35,13 +34,18 @@ def _random_graph(rng, n, density):
 
 
 def _spy_complexes(mp):
-    """Records (W, floor, further arguments) of every complex regularity builds."""
+    """Records (W, floor, level, apex, complex) of every complex regularity builds.
+
+    A link of v in Delta[W + v] is recorded with its vertex set W and apex v;
+    a full complex Delta[W] with apex 0.
+    """
     built = []
     real = betti._WComplex
 
-    def spy(W, nf, char, floor, *rest):
-        built.append((W, floor, rest))
-        return real(W, nf, char, floor, *rest)
+    def spy(W, nf, char, floor, level=None, apex=0):
+        wc = real(W, nf, char, floor, level, apex)
+        built.append((W, floor, level, apex, wc))
+        return wc
 
     mp.setattr(betti, "_WComplex", spy)
     return built
@@ -203,14 +207,16 @@ class TestRegularity:
                 with pytest.MonkeyPatch.context() as mp:
                     built = _spy_complexes(mp)
                     reg = regularity(I, p)
-                assert all(W.bit_count() > floor + 2 for W, floor, _ in built)
+                # a link has one vertex and one floor level fewer than its W
+                assert all(W.bit_count() > floor + 2 for W, floor, *_ in built)
                 assert reg == betti_table(I, p).regularity()
-                scanned += len(built)
+                scanned += sum(1 for *_, apex, _ in built if apex)
         assert scanned > 100
 
     @pytest.mark.parametrize("p", [2, 32003])
     def test_floor_level_cut_from_shared_list(self, p):
-        # the cut-from-shared path must run, and give the table's regularity
+        # the link's floor level is cut from the size-best faces through its
+        # apex; that path must run, and give the table's regularity
         rng = random.Random(p)
         cuts = 0
         for n in (10, 11, 12):
@@ -223,10 +229,53 @@ class TestRegularity:
                 assert reg == betti_table(I, p).regularity()
                 cuts += sum(
                     1
-                    for W, floor, rest in built
-                    if rest and len(rest[0]) < comb(W.bit_count(), floor + 1)
+                    for W, floor, level, apex, _ in built
+                    if apex and level and len(level) < comb(W.bit_count(), floor + 1)
                 )
         assert cuts > 0
+
+    @pytest.mark.parametrize("p", [2, 3, 32003])
+    def test_every_branch_of_the_link_test(self, p):
+        # regularity ranks the link of one vertex v of W before Delta[W]; each
+        # way out of that test must run and keep the table's regularity
+        rng = random.Random(100 + p)
+        ideals = [random_squarefree_ideal(rng, n_range=(5, 9), max_gens=7) for _ in range(60)]
+        for n in (8, 10, 12):
+            G = _random_graph(rng, n, 0.35)
+            ideals += [sqfree_power(G, k) for k in (1, 2, 3)]
+        assert any(g.bit_count() == 1 for I in ideals for g in I.gens)
+        empty = acyclic_scanned = cone = full = 0
+        for I in ideals:
+            if I.is_zero() or I.is_unit():
+                continue
+            with pytest.MonkeyPatch.context() as mp:
+                built = _spy_complexes(mp)
+                reg = regularity(I, p)
+            assert reg == betti_table(I, p).regularity()
+            if len(I.gens) <= 8:
+                assert reg == max(j - i for i, j in taylor_entries(I, p))
+            closed = betti._closed_vertex_sets(I.gens)
+            links = [(U, v, wc) for U, _, _, v, wc in built if v]
+            fulls = [W for W, _, _, v, _ in built if not v]
+            scanned = {U | v for U, v, _ in links}
+            assert set(fulls) <= scanned and len(fulls) == len(set(fulls))
+            for U, v, wc in links:
+                top = wc.top_degree()
+                if top is None:
+                    # skipped: H~_t(Delta[W]) is the image of H~_t(Delta[W - v])
+                    assert U | v not in fulls
+                    # wc.faces[0] is the link's floor level
+                    empty += not wc.faces
+                    acyclic_scanned += bool(wc.faces) and U in closed and U in scanned
+                elif U not in closed:
+                    # Delta[W - v] is a cone: best is read off the link
+                    assert U | v not in fulls
+                    assert reg >= top + 3
+                    cone += 1
+                else:
+                    assert U | v in fulls
+            full += len(fulls)
+        assert empty and acyclic_scanned and cone and full
 
     def test_18_vertex_query_in_bounded_memory(self):
         # reg(I(G)^[3]) at 32003 for an 18-vertex block graph (five triangles
@@ -369,16 +418,3 @@ class TestCharacteristicDependence:
             for k in range(1, matching_number(G) + 1):
                 power = sqfree_power(G, k)
                 assert regularity(power, 2) == regularity(power, 32003)
-
-
-class TestStanleyReisner:
-    def test_facets_of_path_ideal(self):
-        I = SquareFreeIdeal(3, [(0, 1), (1, 2)])
-        sr = stanley_reisner_complex(I)
-        assert sorted(sr.facets) == [0b010, 0b101]
-        assert sr.is_face(0b100) and not sr.is_face(0b011)
-
-    def test_faces_by_size(self):
-        I = SquareFreeIdeal(3, [(0, 1), (1, 2)])
-        sizes = [len(level) for level in stanley_reisner_complex(I).faces_by_size()]
-        assert sizes == [1, 3, 1, 0]
