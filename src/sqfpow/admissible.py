@@ -162,13 +162,12 @@ def aim_profile(H: Hypergraph) -> list[int]:
     if not H.edges:
         return []
     _require_uniform(H)
-    # defect < |M| <= number of edges; the largest |M| seen is nu
-    best_by_defect = [0] * len(H.edges)
+    best_by_defect = [0] * matching_number(H)
     for idx, _, parts in walk_matchings(H):
         defect = len(idx) - len(parts)
         if len(idx) > best_by_defect[defect]:
             best_by_defect[defect] = len(idx)
-    return list(accumulate(best_by_defect[: max(best_by_defect)], max))
+    return list(accumulate(best_by_defect, max))
 
 
 def aim_star(G: Graph, k: int) -> int:

@@ -230,12 +230,16 @@ def _face_level(bits: list[int], size: int, nf: bytes, apex: int = 0) -> list[in
 class _WComplex:
     """The faces of Delta[W] of size above ``floor``, by size, with lazy boundary ranks.
 
-    Only the levels floor+1 .. smax are listed: ``level``, the size-(floor+1)
-    faces (or, when it is None, the subsets of W of that size that are
-    faces), then each higher level by adding to a face a vertex of W above
-    its top vertex.  The complex is closed downward, so this lists every
-    face once.  Level ``floor`` itself is never listed: the boundary matrix
-    of level floor+1 indexes its columns by the faces that occur in its rows.
+    Only the levels floor+1 .. smax are listed: the size-(floor+1) faces,
+    then each higher level by adding to a face a vertex of W above its top
+    vertex.  The complex is closed downward, so this lists every face
+    once.  Level ``floor`` itself is never listed: the boundary matrix of
+    level floor+1 indexes its columns by the faces that occur in its rows.
+
+    ``shared`` lists faces of the whole complex, of size floor+1 (or of
+    size floor+2 through the apex).  When it is shorter than the subsets
+    of W of size floor+1, the floor level is cut from it (its faces
+    inside W + apex, the apex removed); otherwise those subsets are tested.
 
     With an ``apex`` bit v outside W this is the link of v in Delta[W + v]:
     the sets F inside W with F + v a face, every level tested with v added.
@@ -249,12 +253,14 @@ class _WComplex:
     __slots__ = ("w", "lo", "faces", "smax", "char", "_ranks", "_cleared")
 
     def __init__(
-        self, W: int, nf: bytes, char: int, floor: int, level: list[int] | None = None,
+        self, W: int, nf: bytes, char: int, floor: int, shared: list[int] | None = None,
         apex: int = 0,
     ):
         bits = _vertex_bits(W)
         lo = floor + 1
-        if level is None:
+        if shared is not None and len(shared) < comb(len(bits), lo):
+            level = [f ^ apex for f in shared if not f & ~(W | apex)]
+        else:
             level = _face_level(bits, lo, nf, apex)
         faces: list[list[int]] = []
         while level:
@@ -366,8 +372,7 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
     size-best faces of the whole complex, built again only when best
     changes, and from its split by vertex (through[v]).  Each complex
     cuts its level from its list only when the list is shorter than the
-    subsets it would test instead: comb(|W|, best) for Delta[W],
-    comb(|W| - 1, best - 1) for the link.
+    subsets it would test instead.
     """
     _check_characteristic(characteristic)
     if I.is_zero() or I.is_unit():
@@ -398,11 +403,7 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
             through = {b: [f for f in shared if f & b] for b in support}
             pick = sorted(support, key=lambda b: len(through[b]))
         v = next(b for b in pick if W & b)
-        if len(through[v]) < comb(size - 1, best - 1):
-            link_level = [f ^ v for f in through[v] if not f & ~W]
-        else:
-            link_level = None
-        top = _WComplex(W ^ v, nf, characteristic, best - 2, link_level, v).top_degree()
+        top = _WComplex(W ^ v, nf, characteristic, best - 2, through[v], v).top_degree()
         if top is None:
             continue
         if W ^ v not in closed:
@@ -411,8 +412,7 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
             continue
         # best >= every generator degree, so best - 1 is at or above the
         # full-skeleton floor of betti_table, and no t below it can beat best.
-        level = [f for f in shared if not f & ~W] if len(shared) < comb(size, best) else None
-        top = _WComplex(W, nf, characteristic, best - 1, level).top_degree()
+        top = _WComplex(W, nf, characteristic, best - 1, shared).top_degree()
         if top is not None:
             best = top + 2
             shared = None

@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -34,20 +33,29 @@ def _random_graph(rng, n, density):
 
 
 def _spy_complexes(mp):
-    """Records (W, floor, level, apex, complex) of every complex regularity builds.
+    """Records (W, floor, apex, complex, cut) of every complex regularity builds.
 
     A link of v in Delta[W + v] is recorded with its vertex set W and apex v;
-    a full complex Delta[W] with apex 0.
+    a full complex Delta[W] with apex 0.  ``cut`` is True when the floor
+    level was cut from the list handed in, not tested from the subsets of W.
     """
     built = []
     real = betti._WComplex
+    real_level = betti._face_level
+    listed = []
 
-    def spy(W, nf, char, floor, level=None, apex=0):
-        wc = real(W, nf, char, floor, level, apex)
-        built.append((W, floor, level, apex, wc))
+    def face_level(*args):
+        listed.append(1)
+        return real_level(*args)
+
+    def spy(W, nf, char, floor, shared=None, apex=0):
+        before = len(listed)
+        wc = real(W, nf, char, floor, shared, apex)
+        built.append((W, floor, apex, wc, len(listed) == before))
         return wc
 
     mp.setattr(betti, "_WComplex", spy)
+    mp.setattr(betti, "_face_level", face_level)
     return built
 
 
@@ -210,7 +218,7 @@ class TestRegularity:
                 # a link has one vertex and one floor level fewer than its W
                 assert all(W.bit_count() > floor + 2 for W, floor, *_ in built)
                 assert reg == betti_table(I, p).regularity()
-                scanned += sum(1 for *_, apex, _ in built if apex)
+                scanned += sum(1 for _, _, apex, _, _ in built if apex)
         assert scanned > 100
 
     @pytest.mark.parametrize("p", [2, 32003])
@@ -227,11 +235,7 @@ class TestRegularity:
                     built = _spy_complexes(mp)
                     reg = regularity(I, p)
                 assert reg == betti_table(I, p).regularity()
-                cuts += sum(
-                    1
-                    for W, floor, level, apex, _ in built
-                    if apex and level and len(level) < comb(W.bit_count(), floor + 1)
-                )
+                cuts += sum(1 for _, _, apex, wc, cut in built if apex and cut and wc.faces)
         assert cuts > 0
 
     @pytest.mark.parametrize("p", [2, 3, 32003])
@@ -255,8 +259,8 @@ class TestRegularity:
             if len(I.gens) <= 8:
                 assert reg == max(j - i for i, j in taylor_entries(I, p))
             closed = betti._closed_vertex_sets(I.gens)
-            links = [(U, v, wc) for U, _, _, v, wc in built if v]
-            fulls = [W for W, _, _, v, _ in built if not v]
+            links = [(U, v, wc) for U, _, v, wc, _ in built if v]
+            fulls = [W for W, _, v, _, _ in built if not v]
             scanned = {U | v for U, v, _ in links}
             assert set(fulls) <= scanned and len(fulls) == len(set(fulls))
             for U, v, wc in links:
