@@ -34,7 +34,7 @@ from .corpus import (
     bundled_corpus,
     load_corpus,
     parse_graph6,
-    parse_hypergraph,
+    parse_instance,
 )
 from .graphclasses import (
     BlockDecomposition,
@@ -56,7 +56,6 @@ from .hypergraphs import (
     Graph,
     Hypergraph,
     InputError,
-    Matching,
     disjoint_union,
     enumerate_matchings,
     induced_matching_number,

@@ -23,8 +23,8 @@ from .hypergraphs import (
     Hypergraph,
     InputError,
     check_matching,
+    enumerate_matchings,
     forcing_step,
-    matching_indices,
     matching_number,
     vertices_of,
     walk_matchings,
@@ -73,35 +73,25 @@ def _index_parts(H: Hypergraph, idx: tuple[int, ...], parts: tuple) -> tuple[tup
 
 def forcing_components(H: Hypergraph, matching) -> ForcingPartition:
     """Finest partition satisfying condition (1); every valid partition coarsens it."""
-    idx = check_matching(H, matching_indices(matching))
+    idx = check_matching(H, matching)
     return ForcingPartition(idx, _index_parts(H, idx, _forcing_parts(H, idx)))
 
 
 def is_rigid_part(H: Hypergraph, part) -> bool:
     """True iff every matching of size |P| in H[V(P)] covers V(P)."""
-    idx = check_matching(H, matching_indices(part))
-    vmask = 0
-    for i in idx:
-        vmask |= H.edges[i]
-    return _rigid(H, vmask, len(idx))
+    idx = check_matching(H, part)
+    if not idx:
+        return True
+    return _rigid(H, sum(H.edges[i] for i in idx), len(idx))
 
 
 def _rigid(H: Hypergraph, vmask: int, size: int, memo: dict | None = None) -> bool:
     if memo is not None and (vmask, size) in memo:
         return memo[(vmask, size)]
     inside = [e for e in H.edges if not e & ~vmask]
-
-    def rec(start: int, used: int, depth: int) -> bool:
-        if depth == size:
-            return used == vmask
-        for j in range(start, len(inside) - (size - depth) + 1):
-            if inside[j] & used:
-                continue
-            if not rec(j + 1, used | inside[j], depth + 1):
-                return False
-        return True
-
-    ok = rec(0, 0, 0)
+    ok = all(
+        sum(inside[i] for i in idx) == vmask for idx in enumerate_matchings(inside, size)
+    )
     if memo is not None:
         memo[(vmask, size)] = ok
     return ok
@@ -115,10 +105,8 @@ def is_generalized_k_admissible(
     The finest (forcing-component) partition is returned: merging parts
     preserves rigidity but shrinks r, so it decides admissibility.
     """
-    idx = check_matching(H, matching_indices(matching))
-    nu = matching_number(H)
-    if not 1 <= k <= nu:
-        raise InputError(f"k={k} out of range 1..nu={nu}")
+    idx = check_matching(H, matching)
+    _check_k(H, k)
     parts = _forcing_parts(H, idx)
     if not _admissible(H, len(idx), parts, k, {}):
         return None

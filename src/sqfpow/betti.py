@@ -102,18 +102,8 @@ class BettiTable:
     def regularity(self) -> int:
         return max((j - i for (i, j) in self.entries), default=0)
 
-    def projective_dimension(self) -> int:
-        return max((i for (i, _) in self.entries), default=0)
-
     def csv_rows(self) -> list[str]:
         return [f"{i},{j},{b}" for (i, j), b in sorted(self.entries.items())]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BettiTable)
-            and self.characteristic == other.characteristic
-            and self.entries == other.entries
-        )
 
 
 def _gf2_boundary_pivots(faces: list[int]) -> list[int]:

@@ -171,9 +171,9 @@ def _failure_witness(H: Hypergraph, k: int, char: int, extra: dict) -> dict:
 # -- per-campaign instance runners --------------------------------------------
 
 
-def _k_values(nu: int, kmax, lo: int = 1) -> list[int]:
+def _k_values(nu: int, kmax) -> list[int]:
     hi = nu if kmax is None else min(nu, int(kmax))
-    return list(range(lo, hi + 1))
+    return list(range(1, hi + 1))
 
 
 def _run_equality(G: Graph, ctx: dict) -> Iterator[tuple]:
@@ -313,31 +313,12 @@ def _run_nu1_lemmas(G: Graph, ctx: dict) -> Iterator[tuple]:
     yield 2, {"pairs_checked": checked, "aim2": a2}, True, None
 
 
-def _aim_ext_profile(G: Graph, cache: dict, delmask: int) -> Callable[[int], int]:
-    if delmask not in cache:
-        H = G.remove_vertices(delmask)
-        prof = aim_profile(H)
-        cache[delmask] = prof
-    prof = cache[delmask]
+def _aim_deletions(G: Graph) -> Iterator[tuple[str, dict, int, int]]:
+    """(rule, detail, deleted mask, shift) for every deletion the aim rules cover.
 
-    def get(k: int) -> int:
-        if not prof:
-            return 0
-        return prof[min(k, len(prof)) - 1]
-
-    return get
-
-
-def _run_aim_deletion(G: Graph, ctx: dict) -> Iterator[tuple]:
-    nu = matching_number(G)
-    prof = aim_profile(G)
-    cache: dict = {}
-    checked = 0
-
-    def fail(tag: str, detail: dict) -> tuple:
-        witness = {"edges": [list(vertices_of(e)) for e in G.edges], **detail}
-        return None, {"rule": tag, **detail}, False, witness
-
+    Each rule claims aim(G - D, k - shift) <= aim(G, k) - 1 for every k
+    from 1 + shift to nu(G).
+    """
     if graphclasses.is_block_graph(G):
         dec = graphclasses.block_decomposition(G)
         free = graphclasses.free_vertices(G)
@@ -350,60 +331,41 @@ def _run_aim_deletion(G: Graph, ctx: dict) -> Iterator[tuple]:
                     continue
                 if any(G.degree(v) != 1 for v in vertices_of(outside)):
                     continue
-                deletions = [[u]]
+                yield "pendant-deletion", {"deleted": [u]}, 1 << u, 1
                 other = next((w for w in bverts if w != u), None)
                 if other is not None:
-                    deletions.append([u, other])
-                for dels in deletions:
-                    delmask = sum(1 << v for v in dels)
-                    get = _aim_ext_profile(G, cache, delmask)
-                    for k in range(2, nu + 1):
-                        checked += 1
-                        if get(k - 1) > prof[k - 1] - 1:
-                            yield fail(
-                                "pendant-deletion",
-                                {"deleted": dels, "k": k, "aim_H": get(k - 1), "aim_G": prof[k - 1]},
-                            )
-                            return
+                    yield "pendant-deletion", {"deleted": [u, other]}, 1 << u | 1 << other, 1
             # two distinct free vertices in the block
             fv = vertices_of(blk & free)
             if len(fv) >= 2:
                 u1, u2 = fv[0], fv[1]
-                delmask = (1 << u1) | (1 << u2)
-                get = _aim_ext_profile(G, cache, delmask)
-                for k in range(2, nu + 1):
-                    checked += 1
-                    if get(k - 1) > prof[k - 1] - 1:
-                        yield fail(
-                            "free-pair-deletion",
-                            {"deleted": [u1, u2], "k": k, "aim_H": get(k - 1), "aim_G": prof[k - 1]},
-                        )
-                        return
-                get = _aim_ext_profile(G, cache, blk)
-                for k in range(1, nu + 1):
-                    checked += 1
-                    if get(k) > prof[k - 1] - 1:
-                        yield fail(
-                            "block-deletion",
-                            {"deleted": list(bverts), "k": k, "aim_H": get(k), "aim_G": prof[k - 1]},
-                        )
-                        return
+                yield "free-pair-deletion", {"deleted": [u1, u2]}, 1 << u1 | 1 << u2, 1
+                yield "block-deletion", {"deleted": list(bverts)}, blk, 0
     # closed-neighborhood deletion: N[y] inside N[x] lets {x,y} extend any witness
     for x in range(G.n):
         closed_x = G.adj[x] | (1 << x)
         for y in vertices_of(G.adj[x]):
             closed_y = G.adj[y] | (1 << y)
-            if closed_y & ~closed_x:
-                continue
-            get = _aim_ext_profile(G, cache, closed_x)
-            for k in range(1, nu + 1):
-                checked += 1
-                if get(k) > prof[k - 1] - 1:
-                    yield fail(
-                        "closed-neighborhood-deletion",
-                        {"x": x, "y": y, "k": k, "aim_H": get(k), "aim_G": prof[k - 1]},
-                    )
-                    return
+            if not closed_y & ~closed_x:
+                yield "closed-neighborhood-deletion", {"x": x, "y": y}, closed_x, 0
+
+
+def _run_aim_deletion(G: Graph, ctx: dict) -> Iterator[tuple]:
+    prof = aim_profile(G)
+    profiles: dict[int, list[int]] = {}
+    checked = 0
+    for rule, detail, delmask, shift in _aim_deletions(G):
+        if delmask not in profiles:
+            profiles[delmask] = aim_profile(G.remove_vertices(delmask))
+        sub = profiles[delmask]
+        for k in range(1 + shift, len(prof) + 1):
+            checked += 1
+            aim_h = sub[min(k - shift, len(sub)) - 1] if sub else 0
+            if aim_h > prof[k - 1] - 1:
+                detail = {**detail, "k": k, "aim_H": aim_h, "aim_G": prof[k - 1]}
+                witness = {"edges": [list(vertices_of(e)) for e in G.edges], **detail}
+                yield None, {"rule": rule, **detail}, False, witness
+                return
     yield None, {"checks": checked}, True, None
 
 
@@ -450,10 +412,10 @@ def _run_restriction(H: Hypergraph, ctx: dict) -> Iterator[tuple]:
     ks = _k_values(nu, ctx.get("kmax"))
     rng = random.Random(ctx["seed"])
     full = (1 << H.n) - 1
-    if H.n <= ctx.get("wmax", 7):
+    if H.n <= 7:
         subsets = range(full + 1)
     else:
-        subsets = sorted({rng.randrange(full + 1) for _ in range(ctx.get("wsample", 64))})
+        subsets = sorted({rng.randrange(full + 1) for _ in range(64)})
     regs = {k: reg_power_cached(H, k, char) for k in ks}
     checked = 0
     for w in subsets:

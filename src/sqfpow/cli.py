@@ -14,13 +14,7 @@ from pathlib import Path
 from .admissible import aim, aim_star
 from .betti import betti_table, regularity
 from .campaigns import CampaignFailure, pair_corpus, run_campaign
-from .corpus import (
-    bundled_corpus,
-    load_corpus,
-    parse_graph6,
-    parse_hypergraph,
-    parse_ideal,
-)
+from .corpus import bundled_corpus, load_corpus, parse_instance
 from .graphclasses import (
     block_decomposition,
     cm_clique_partition,
@@ -48,21 +42,12 @@ from .ideals import (
 
 
 def _load_instance(arg: str):
-    """A file path (graph6/JSON by content) or a literal graph6 string."""
+    """The first instance line of a file, or a literal instance string."""
     path = Path(arg)
     if path.exists():
         lines = path.read_text().splitlines()
-        line = next(
-            (ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")), ""
-        )
-    else:
-        line = arg.strip()
-    if line.startswith("{"):
-        data = json.loads(line)
-        if "edges" in data:
-            return parse_hypergraph(line)
-        return parse_ideal(line)
-    return parse_graph6(line)
+        arg = next((ln for ln in lines if ln.strip() and not ln.startswith("#")), "")
+    return parse_instance(arg)
 
 
 def _as_power_ideal(obj, k: int) -> SquareFreeIdeal:

@@ -58,23 +58,29 @@ def parse_graph6(line: str) -> Graph:
     return Graph(n, edges)
 
 
-def parse_hypergraph(text: str) -> Hypergraph:
-    """Validated hypergraph from the `{"n":..,"edges":[[..]]}` schema."""
-    return Hypergraph.from_json(text)
-
-
-def parse_ideal(text: str) -> SquareFreeIdeal | GeneralMonomialIdeal:
+def parse_instance(line: str) -> Hypergraph | SquareFreeIdeal | GeneralMonomialIdeal:
+    """One instance: a graph6 line, or a JSON object with an integer "n" and
+    "edges" (hypergraph), "gens" (square-free ideal) or "gens_exp" (monomial
+    ideal)."""
+    s = line.strip()
+    if not s.startswith("{"):
+        return parse_graph6(s)
     try:
-        data = json.loads(text)
+        data = json.loads(s)
     except json.JSONDecodeError as exc:
-        raise InputError(f"invalid ideal JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError("ideal JSON must be an object")
-    if "gens_exp" in data:
-        return GeneralMonomialIdeal.from_json(text)
-    if "gens" in data:
-        return SquareFreeIdeal.from_json(text)
-    raise InputError("ideal JSON needs 'gens' or 'gens_exp'")
+        raise InputError(f"invalid instance JSON: {exc}") from exc
+    if isinstance(data, dict) and isinstance(data.get("n"), int):
+        for key, cls in (
+            ("edges", Hypergraph),
+            ("gens_exp", GeneralMonomialIdeal),
+            ("gens", SquareFreeIdeal),
+        ):
+            if key in data:
+                try:
+                    return cls(data["n"], data[key])
+                except TypeError as exc:  # e.g. a number where a vertex list belongs
+                    raise InputError(f"malformed {key!r} in instance JSON: {exc}") from exc
+    raise InputError("instance JSON needs an integer 'n' and 'edges', 'gens' or 'gens_exp'")
 
 
 @dataclass(frozen=True)
@@ -106,22 +112,13 @@ class Corpus:
 
 
 def load_corpus_lines(lines: Iterable[str], source: str) -> Corpus:
-    """Parse graph6 or hypergraph-JSON lines ('#' comments and blanks skipped)."""
+    """Parse one instance per line ('#' comments, blanks and bare graph6 headers skipped)."""
     items = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith("#") or line == GRAPH6_HEADER:
             continue
-        if line.startswith(GRAPH6_HEADER):
-            line = line[len(GRAPH6_HEADER):]
-            if not line:
-                continue
-        obj: object
-        if line.startswith("{"):
-            obj = parse_hypergraph(line)
-        else:
-            obj = parse_graph6(line)
-        items.append(CorpusItem(f"{source}:{lineno}", obj, (source, lineno)))
+        items.append(CorpusItem(f"{source}:{lineno}", parse_instance(line), (source, lineno)))
     return Corpus(items)
 
 

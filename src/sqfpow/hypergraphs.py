@@ -3,6 +3,11 @@
 Vertices are the integers 0..n-1 and every vertex set is a plain Python
 int used as a bit mask, so set algebra is single-word machine arithmetic
 at the sizes this package targets (n <= 64).
+
+Three scans cover the matchings: `walk_matchings` visits every matching
+with its forcing parts, `matching_number` is a branch-and-bound for nu,
+and `enumerate_matchings` is the only scan of the matchings of one fixed
+size.
 """
 
 from __future__ import annotations
@@ -77,9 +82,6 @@ class Hypergraph:
         self.edges = tuple(masks)
 
     # -- basic queries -------------------------------------------------
-
-    def edge_vertices(self, i: int) -> tuple[int, ...]:
-        return vertices_of(self.edges[i])
 
     def covered(self) -> int:
         """Mask of vertices lying in at least one edge."""
@@ -183,21 +185,11 @@ class Graph(Hypergraph):
         return seen == (1 << self.n) - 1
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise-disjoint edges, referenced by index into the host."""
-
-    indices: tuple[int, ...]
-
-    @classmethod
-    def of(cls, host: Hypergraph, indices: Iterable[int]) -> "Matching":
-        idx = tuple(sorted(indices))
-        check_matching(host, idx)
-        return cls(idx)
-
-
 def check_matching(H: Hypergraph, indices: Sequence[int]) -> tuple[int, ...]:
-    """Validate edge indices as a matching of H; return them sorted."""
+    """Validate edge indices as a matching of H; return them sorted.
+
+    A repeated index fails the disjointness test, since edges are nonempty.
+    """
     idx = tuple(sorted(indices))
     used = 0
     for i in idx:
@@ -207,15 +199,7 @@ def check_matching(H: Hypergraph, indices: Sequence[int]) -> tuple[int, ...]:
         if e & used:
             raise InputError(f"edges {idx} are not pairwise disjoint")
         used |= e
-    if len(set(idx)) != len(idx):
-        raise InputError("repeated edge index in matching")
     return idx
-
-
-def matching_indices(m) -> tuple[int, ...]:
-    if isinstance(m, Matching):
-        return m.indices
-    return tuple(sorted(m))
 
 
 @dataclass(frozen=True)
@@ -346,11 +330,16 @@ def induced_matching_number(H: Hypergraph) -> int:
     return best
 
 
-def enumerate_matchings(H: Hypergraph, k: int) -> Iterator[tuple[int, ...]]:
-    """Stream all matchings of size exactly k, in lexicographic index order."""
+def enumerate_matchings(edges: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
+    """Stream every k pairwise-disjoint masks of edges as sorted index tuples.
+
+    The one scan over matchings of a fixed size, in lexicographic index
+    order.  edges is a plain mask list, so it may repeat a mask (the
+    supports of a general monomial ideal); the chosen masks are
+    disjoint, so their sum is their union.
+    """
     if k < 1:
         raise InputError(f"matching size k={k} must be >= 1")
-    edges = H.edges
     m = len(edges)
     chosen: list[int] = []
 

@@ -155,7 +155,7 @@ def sqfree_power(H: Hypergraph, k: int) -> SquareFreeIdeal:
     if k <= 0:
         return SquareFreeIdeal(H.n, [0])
     gens = []
-    for idx in enumerate_matchings(H, k):
+    for idx in enumerate_matchings(H.edges, k):
         mask = 0
         for i in idx:
             mask |= H.edges[i]
@@ -277,26 +277,10 @@ def matching_power_general(I: GeneralMonomialIdeal, k: int) -> GeneralMonomialId
     supports = [
         sum(1 << i for i, e in enumerate(g) if e) for g in I.gens
     ]
-    m = len(I.gens)
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def rec(start: int, used: int) -> None:
-        if len(chosen) == k:
-            prod = [0] * I.n
-            for j in chosen:
-                for i, e in enumerate(I.gens[j]):
-                    prod[i] += e
-            out.append(tuple(prod))
-            return
-        for j in range(start, m - (k - len(chosen)) + 1):
-            if supports[j] & used:
-                continue
-            chosen.append(j)
-            rec(j + 1, used | supports[j])
-            chosen.pop()
-
-    rec(0, 0)
+    out = [
+        tuple(map(sum, zip(*(I.gens[j] for j in idx))))
+        for idx in enumerate_matchings(supports, k)
+    ]
     return GeneralMonomialIdeal(I.n, out)
 
 

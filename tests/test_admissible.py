@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from sqfpow import (
     matching_number,
 )
 from sqfpow.admissible import best_admissible_witness
+from sqfpow.corpus import random_hypergraph
 from test_hypergraphs import small_graphs, small_hypergraphs
 
 
@@ -104,11 +107,23 @@ class TestRigidity:
 
     @given(small_hypergraphs(max_edges=4))
     def test_against_definition(self, H):
+        sets = oracles.masks_to_sets(H.edges)
+        # every matching, the empty one included
         for m in oracles.brute_matchings(H.edges):
-            if not 0 < len(m) <= 3:
-                continue
-            sets = oracles.masks_to_sets(H.edges)
             assert is_rigid_part(H, m) == oracles._condition3(sets, list(m))
+
+    def test_against_definition_on_mixed_edge_sizes(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(120):
+            H = random_hypergraph(rng, n_range=(4, 8), size_range=(1, 4), max_edges=7)
+            sets = oracles.masks_to_sets(H.edges)
+            for m in oracles.brute_matchings(H.edges):
+                rigid = is_rigid_part(H, m)
+                assert rigid == oracles._condition3(sets, list(m))
+                seen.add(rigid)
+        assert seen == {True, False}
+        assert is_rigid_part(Hypergraph(3), ()) is True
 
 
 class TestGeneralizedAdmissible:

@@ -171,6 +171,58 @@ class TestFailurePolicy:
         assert "betti_char2" in failure.record.witness
         assert "betti_char32003" in failure.record.witness
 
+    @pytest.mark.parametrize(
+        "n, edges, victim, rule, where, k",
+        [
+            (5, [(0, 1), (1, 2), (2, 3), (3, 4)], [1], "pendant-deletion", {"deleted": [1]}, 2),
+            (
+                6,
+                [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)],
+                [0, 1],
+                "free-pair-deletion",
+                {"deleted": [0, 1]},
+                2,
+            ),
+            (
+                6,
+                [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)],
+                [0, 1, 2, 3],
+                "block-deletion",
+                {"deleted": [0, 1, 2, 3]},
+                1,
+            ),
+            (
+                6,
+                [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)],
+                [0, 1, 4, 5],
+                "closed-neighborhood-deletion",
+                {"x": 0, "y": 5},
+                1,
+            ),
+        ],
+    )
+    def test_aim_deletion_planted_failure(self, monkeypatch, n, edges, victim, rule, where, k):
+        import sqfpow.campaigns as camp
+
+        G = Graph(n, edges)
+        planted = G.remove_vertices(sum(1 << v for v in victim))
+        real = camp.aim_profile
+        monkeypatch.setattr(
+            camp, "aim_profile", lambda H: [9] * len(real(H)) if H == planted else real(H)
+        )
+        with pytest.raises(CampaignFailure) as info:
+            run_campaign("aim-deletion", Corpus.from_objects([G], "planted"))
+        detail = {**where, "k": k, "aim_H": 9, "aim_G": 2}
+        assert info.value.record.to_json_dict() == {
+            "instance": "planted:0",
+            "k": None,
+            "ok": False,
+            "characteristic": 2,
+            "rule": rule,
+            **detail,
+            "witness": {"edges": [list(e) for e in edges], **detail},
+        }
+
     def test_explore_collects(self, monkeypatch):
         import sqfpow.campaigns as camp
 

@@ -130,6 +130,18 @@ class TestCampaignCommand:
         assert out_path.exists()
         assert (tmp_path / "report.csv").exists()
 
+    def test_ideal_campaigns_from_jsonl(self, capsys, tmp_path):
+        corpus = tmp_path / "ideals.jsonl"
+        corpus.write_text(
+            '{"n":4,"gens":[[0,1],[2,3]]}\n{"n":5,"gens":[[0,1,2],[2,3],[3,4]]}\n'
+            '{"n":3,"gens_exp":[[2,1,0],[0,1,2]]}\n{"n":2,"gens_exp":[[1,2],[2,1]]}\n'
+        )
+        for name in ("reg-lemmas", "polarization"):
+            code, out, _ = run(capsys, "campaign", name, "--corpus", str(corpus))
+            summary = json.loads(out)
+            assert code == 0 and summary["checks"] > 0 and summary["fail"] == 0
+            assert summary["skipped"] == 2
+
     def test_unknown_campaign_exit2(self, capsys, tmp_path):
         corpus = tmp_path / "c.g6"
         corpus.write_text("A_\n")

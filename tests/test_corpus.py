@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sqfpow import Graph, Hypergraph, InputError, bundled_corpus, parse_graph6
+from sqfpow import (
+    GeneralMonomialIdeal,
+    Graph,
+    Hypergraph,
+    InputError,
+    SquareFreeIdeal,
+    bundled_corpus,
+    parse_graph6,
+)
 from sqfpow.corpus import (
     load_corpus,
-    parse_hypergraph,
-    parse_ideal,
+    parse_instance,
     random_disjoint_edge_hypergraph,
     random_general_ideal,
     random_hypergraph,
@@ -71,35 +78,62 @@ class TestGraph6:
 
 class TestHypergraphJson:
     def test_two_disjoint(self):
-        H = parse_hypergraph('{"n":4,"edges":[[0,1],[2,3]]}')
+        H = parse_instance('{"n":4,"edges":[[0,1],[2,3]]}')
         assert H == Hypergraph(4, [(0, 1), (2, 3)])
 
     def test_containment_rejected(self):
         with pytest.raises(InputError):
-            parse_hypergraph('{"n":3,"edges":[[0,1],[0,1,2]]}')
+            parse_instance('{"n":3,"edges":[[0,1],[0,1,2]]}')
 
     def test_triples(self):
-        H = parse_hypergraph('{"n":6,"edges":[[0,1,2],[3,4,5]]}')
+        H = parse_instance('{"n":6,"edges":[[0,1,2],[3,4,5]]}')
         assert H == Hypergraph(6, [(0, 1, 2), (3, 4, 5)])
 
     def test_ideal_json(self):
-        I = parse_ideal('{"n":3,"gens":[[0,1]]}')
-        assert I.gens == (0b011,)
-        J = parse_ideal('{"n":2,"gens_exp":[[2,0]]}')
-        assert J.gens == ((2, 0),)
+        I = parse_instance('{"n":3,"gens":[[0,1]]}')
+        assert isinstance(I, SquareFreeIdeal) and I.gens == (0b011,)
+        J = parse_instance('{"n":2,"gens_exp":[[2,0]]}')
+        assert isinstance(J, GeneralMonomialIdeal) and J.gens == ((2, 0),)
         with pytest.raises(InputError):
-            parse_ideal('{"n":2}')
+            parse_instance('{"n":2}')
+
+
+class TestParseInstance:
+    def test_graph6(self):
+        assert parse_instance(" >>graph6<<A_ \n") == Graph(2, [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"n":2',
+            "[1, 2]",
+            '{"n":"2","gens":[[0]]}',
+            '{"edges":[[0,1]]}',
+            '{"n":3,"edges":5}',
+            '{"n":3,"edges":[[0,1.5]]}',
+            '{"n":3,"gens":[["a"]]}',
+            '{"n":2,"gens_exp":[[1, null]]}',
+        ],
+    )
+    def test_bad_json(self, line):
+        with pytest.raises(InputError):
+            parse_instance(line)
 
 
 class TestLoaders:
     def test_mixed_lines(self, tmp_path):
         path = tmp_path / "corpus.txt"
-        path.write_text("# comment\nA_\n\n" '{"n":3,"edges":[[0,1,2]]}\n')
+        path.write_text(
+            "# comment\nA_\n\n>>graph6<<\n" '{"n":3,"edges":[[0,1,2]]}\n'
+            '{"n":3,"gens":[[0,1]]}\n{"n":2,"gens_exp":[[2,0]]}\n'
+        )
         corpus = load_corpus(path)
-        assert len(corpus) == 2
+        assert len(corpus) == 4
         assert isinstance(corpus.items[0].obj, Graph)
         assert corpus.items[0].provenance == (str(path), 2)
         assert corpus.items[1].obj == Hypergraph(3, [(0, 1, 2)])
+        assert corpus.items[2].obj == SquareFreeIdeal(3, [(0, 1)])
+        assert corpus.items[3].obj == GeneralMonomialIdeal(2, [(2, 0)])
 
     def test_missing_file(self):
         with pytest.raises(InputError):

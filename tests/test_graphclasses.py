@@ -306,18 +306,20 @@ class TestCmCliquePartition:
 
 class TestColonGraph:
     def test_p4_middle(self, p4):
-        tilde = colon_graph(p4, 1, 2, check=True)
+        tilde = colon_graph(p4, 1, 2)
         assert tilde.edges == ((1 << 0) | (1 << 3),)
+        assert sqfree_power(p4, 2).colon(0b0110) == SquareFreeIdeal(4, tilde.edges)
 
     def test_c6_pattern(self):
         C6 = cycle_graph(6)
-        tilde = colon_graph(C6, 0, 1, check=True)
+        tilde = colon_graph(C6, 0, 1)
         assert sorted(map(vertices_of, tilde.edges)) == [
             (2, 3),
             (2, 5),
             (3, 4),
             (4, 5),
         ]
+        assert sqfree_power(C6, 2).colon(0b11) == SquareFreeIdeal(6, tilde.edges)
 
     def test_rejects_non_edge(self, p4):
         with pytest.raises(InputError):

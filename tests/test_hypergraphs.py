@@ -11,7 +11,6 @@ from sqfpow import (
     Graph,
     Hypergraph,
     InputError,
-    Matching,
     disjoint_union,
     enumerate_matchings,
     induced_matching_number,
@@ -20,7 +19,7 @@ from sqfpow import (
     vertex_set,
     vertices_of,
 )
-from sqfpow.hypergraphs import walk_matchings
+from sqfpow.hypergraphs import check_matching, walk_matchings
 
 
 @st.composite
@@ -161,31 +160,38 @@ class TestMatchingNumbers:
 
 class TestEnumerateMatchings:
     def test_k4_pairs(self, k4):
-        got = list(enumerate_matchings(k4, 2))
+        got = list(enumerate_matchings(k4.edges, 2))
         assert got == [(0, 5), (1, 4), (2, 3)]
         brute = [m for m in oracles.brute_matchings(k4.edges) if len(m) == 2]
         assert got == sorted(brute)
 
     def test_single_edge_too_large(self):
-        assert list(enumerate_matchings(Hypergraph(2, [(0, 1)]), 2)) == []
+        assert list(enumerate_matchings(Hypergraph(2, [(0, 1)]).edges, 2)) == []
 
     def test_two_disjoint(self):
         H = Hypergraph(4, [(0, 1), (2, 3)])
-        assert list(enumerate_matchings(H, 2)) == [(0, 1)]
+        assert list(enumerate_matchings(H.edges, 2)) == [(0, 1)]
 
     def test_lexicographic_order(self, c5):
-        got = list(enumerate_matchings(c5, 2))
+        got = list(enumerate_matchings(c5.edges, 2))
         assert got == sorted(got)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_perfect_matching_count_formula(self, k):
         G = complete_graph(2 * k)
-        count = sum(1 for _ in enumerate_matchings(G, k))
+        count = sum(1 for _ in enumerate_matchings(G.edges, k))
         assert count == factorial(2 * k) // (2**k * factorial(k))
 
     def test_rejects_bad_k(self, k4):
         with pytest.raises(InputError):
-            list(enumerate_matchings(k4, 0))
+            list(enumerate_matchings(k4.edges, 0))
+
+    def test_repeated_masks(self):
+        # supports of a monomial ideal may repeat: xy^2 and x^2y share {x, y}
+        edges = [0b011, 0b011, 0b100, 0b110]
+        assert list(enumerate_matchings(edges, 1)) == [(0,), (1,), (2,), (3,)]
+        assert list(enumerate_matchings(edges, 2)) == [(0, 2), (1, 2)]
+        assert list(enumerate_matchings(edges, 3)) == []
 
 
 class TestWalkMatchings:
@@ -226,13 +232,17 @@ class TestWalkMatchings:
             ((2,), 0b1100, ((0b1100, 1),)),
         ]
 
-class TestMatchingType:
-    def test_of_validates(self, p4):
-        assert Matching.of(p4, [2, 0]).indices == (0, 2)
+class TestCheckMatching:
+    def test_validates(self, p4):
+        assert check_matching(p4, [2, 0]) == (0, 2)
         with pytest.raises(InputError):
-            Matching.of(p4, [0, 1])
+            check_matching(p4, [0, 1])
         with pytest.raises(InputError):
-            Matching.of(p4, [0, 7])
+            check_matching(p4, [0, 7])
+
+    def test_repeated_index_is_not_disjoint(self, p4):
+        with pytest.raises(InputError, match="not pairwise disjoint"):
+            check_matching(p4, [0, 0])
 
 
 class TestDisjointUnion:

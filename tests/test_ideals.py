@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,29 @@ class TestGeneralIdeals:
             got = matching_power_general(I, k)
             want = sqfree_power(c5, k).to_general()
             assert got == want
+
+    def test_matching_power_repeated_supports(self):
+        # xy^2 and x^2y share a support, so they never multiply together
+        I = GeneralMonomialIdeal(3, [(1, 2, 0), (2, 1, 0), (0, 0, 1)])
+        assert matching_power_general(I, 2) == GeneralMonomialIdeal(3, [(1, 2, 1), (2, 1, 1)])
+        assert matching_power_general(I, 3).is_zero()
+
+    def test_matching_power_against_brute_products(self):
+        rng = random.Random(12)
+        repeated = 0
+        for _ in range(150):
+            n = rng.randint(2, 4)
+            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 7))]
+            I = GeneralMonomialIdeal(n, [g for g in gens if any(g)])
+            supports = [frozenset(i for i, e in enumerate(g) if e) for g in I.gens]
+            repeated += len(set(supports)) < len(supports)
+            for k in (1, 2, 3):
+                products = []
+                for combo in combinations(range(len(I.gens)), k):
+                    if all(not supports[a] & supports[b] for a, b in combinations(combo, 2)):
+                        products.append([sum(I.gens[j][i] for j in combo) for i in range(n)])
+                assert matching_power_general(I, k) == GeneralMonomialIdeal(n, products)
+        assert repeated > 10
 
     def test_json_roundtrip(self):
         I = GeneralMonomialIdeal(2, [(2, 1)])
