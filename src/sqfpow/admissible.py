@@ -11,6 +11,15 @@ The forcing components grow edge by edge: every edge inside V(M + e) but
 not inside V(M) meets e, so adding e merges e with exactly the parts
 that those edges touch.  `hypergraphs.walk_matchings` carries them
 through its DFS that way, and every scan here is a reduction over it.
+
+With the finest partition, M is generalized k-admissible exactly when its
+parts are all rigid and |M| - c(M) + 1 <= k <= |M|, c(M) its number of
+parts.  aim, aim_profile and lower_bound read one `hypergraphs.MatchingFold`
+per hypergraph, memoised for the last hypergraph seen (by identity): one
+walk gives the best |M| per defect, and L(H,k) at every k comes from a
+second walk on the first lower_bound call.  `best_admissible_witness`
+keeps its own walk per k, for the first maximizer in walk order, and is
+the in-repo referee for that fold.
 """
 
 from __future__ import annotations
@@ -23,9 +32,10 @@ from .hypergraphs import (
     Hypergraph,
     InputError,
     check_matching,
-    enumerate_matchings,
     forcing_step,
+    matching_fold,
     matching_number,
+    rigid,
     vertices_of,
     walk_matchings,
 )
@@ -63,7 +73,11 @@ def _forcing_parts(H: Hypergraph, idx: tuple[int, ...]) -> tuple:
     for i in idx:
         e = H.edges[i]
         vmask |= e
-        parts = forcing_step(parts, e, vmask, [f for f in H.edges if f & e])
+        touch = 0
+        for f in H.edges:
+            if f & e and not f & ~vmask:
+                touch |= f
+        parts = forcing_step(parts, e, touch)
     return parts
 
 
@@ -82,19 +96,7 @@ def is_rigid_part(H: Hypergraph, part) -> bool:
     idx = check_matching(H, part)
     if not idx:
         return True
-    return _rigid(H, sum(H.edges[i] for i in idx), len(idx))
-
-
-def _rigid(H: Hypergraph, vmask: int, size: int, memo: dict | None = None) -> bool:
-    if memo is not None and (vmask, size) in memo:
-        return memo[(vmask, size)]
-    inside = [e for e in H.edges if not e & ~vmask]
-    ok = all(
-        sum(inside[i] for i in idx) == vmask for idx in enumerate_matchings(inside, size)
-    )
-    if memo is not None:
-        memo[(vmask, size)] = ok
-    return ok
+    return rigid(H, sum(H.edges[i] for i in idx), len(idx))
 
 
 def is_generalized_k_admissible(
@@ -106,7 +108,7 @@ def is_generalized_k_admissible(
     preserves rigidity but shrinks r, so it decides admissibility.
     """
     idx = check_matching(H, matching)
-    _check_k(H, k)
+    _check_k(k, matching_number(H))
     parts = _forcing_parts(H, idx)
     if not _admissible(H, len(idx), parts, k, {}):
         return None
@@ -116,7 +118,7 @@ def is_generalized_k_admissible(
 def _admissible(H: Hypergraph, size: int, parts: tuple, k: int, memo: dict) -> bool:
     """Conditions (2) and (3) on the forcing parts of a matching of the given size."""
     return k <= size <= len(parts) + k - 1 and all(
-        _rigid(H, pmask, count, memo) for pmask, count in parts
+        rigid(H, pmask, count, memo) for pmask, count in parts
     )
 
 
@@ -127,11 +129,9 @@ def _require_uniform(H: Hypergraph) -> int:
     return d
 
 
-def _check_k(H: Hypergraph, k: int) -> int:
-    nu = matching_number(H)
+def _check_k(k: int, nu: int) -> None:
     if not 1 <= k <= nu:
         raise InputError(f"k={k} out of range 1..nu={nu}")
-    return nu
 
 
 def aim(H: Hypergraph, k: int) -> int:
@@ -141,30 +141,26 @@ def aim(H: Hypergraph, k: int) -> int:
     c(M) is its number of forcing components.
     """
     _require_uniform(H)
-    _check_k(H, k)
-    return aim_profile(H)[k - 1]
+    profile = aim_profile(H)
+    _check_k(k, len(profile))
+    return profile[k - 1]
 
 
 def aim_profile(H: Hypergraph) -> list[int]:
-    """[aim(H,1), ..., aim(H,nu)] from a single walk over all matchings."""
+    """[aim(H,1), ..., aim(H,nu)]: the running maximum of the largest |M| per defect."""
     if not H.edges:
         return []
     _require_uniform(H)
-    best_by_defect = [0] * matching_number(H)
-    for idx, _, parts in walk_matchings(H):
-        defect = len(idx) - len(parts)
-        if len(idx) > best_by_defect[defect]:
-            best_by_defect[defect] = len(idx)
-    return list(accumulate(best_by_defect, max))
+    return list(accumulate(matching_fold(H).best_by_defect, max))
 
 
 def aim_star(G: Graph, k: int) -> int:
     """Forest-restricted variant: every part must induce a forest in G."""
     if not isinstance(G, Graph):
         raise InputError("aim_star is defined for graphs only")
-    _check_k(G, k)
+    _check_k(k, matching_number(G))
     best = 0
-    for idx, _, parts in walk_matchings(G):
+    for idx, _, parts, _ in walk_matchings(G):
         if best < len(idx) <= len(parts) + k - 1 and all(
             _induces_forest(G, pmask) for pmask, _ in parts
         ):
@@ -200,7 +196,7 @@ def best_admissible_witness(H: Hypergraph, k: int) -> AdmissibleWitness | None:
     memo: dict = {}
     best = None
     best_value = -1
-    for idx, vmask, parts in walk_matchings(H):
+    for idx, vmask, parts, _ in walk_matchings(H):
         value = vmask.bit_count() - len(idx)
         if value > best_value and _admissible(H, len(idx), parts, k, memo):
             best, best_value = (idx, parts), value
@@ -211,10 +207,15 @@ def best_admissible_witness(H: Hypergraph, k: int) -> AdmissibleWitness | None:
 
 
 def lower_bound(H: Hypergraph, k: int) -> int:
-    """L(H,k) = max |V(M)| - |M| over generalized k-admissible matchings."""
-    _check_k(H, k)
-    witness = best_admissible_witness(H, k)
-    if witness is None:
+    """L(H,k) = max |V(M)| - |M| over generalized k-admissible matchings.
+
+    Read off H's matching fold, which fills L at every k from one walk on
+    the first call for H; it equals the value of best_admissible_witness.
+    """
+    fold = matching_fold(H)
+    _check_k(k, fold.nu)
+    bound = fold.lower()[k - 1]
+    if bound < 0:
         # a size-k matching refined inside a minimal generator always exists
         raise InputError("no generalized k-admissible matching found")
-    return sum(H.edges[i].bit_count() - 1 for i in witness.matching)
+    return bound

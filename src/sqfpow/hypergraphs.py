@@ -5,9 +5,17 @@ int used as a bit mask, so set algebra is single-word machine arithmetic
 at the sizes this package targets (n <= 64).
 
 Three scans cover the matchings: `walk_matchings` visits every matching
-with its forcing parts, `matching_number` is a branch-and-bound for nu,
-and `enumerate_matchings` is the only scan of the matchings of one fixed
-size.
+with its forcing parts and its count of induced edges, `matching_number`
+is a branch-and-bound for nu, and `enumerate_matchings` is the only scan
+of the matchings of one fixed size (it also decides rigidity).
+
+Each hypergraph gets one fold over `walk_matchings` (`MatchingFold`):
+nu, the largest |M| per defect |M| - c(M) (which gives aim_profile) and
+nu1, with L(H,k) for every k filled lazily by a second walk.  A matching
+whose forcing parts are all rigid is generalized k-admissible exactly for
+|M| - c(M) + 1 <= k <= |M|, so one walk gives L at every k.  The fold is
+memoised for the last hypergraph seen, by identity: one entry, whatever
+the number of hypergraphs.
 """
 
 from __future__ import annotations
@@ -116,19 +124,6 @@ class Hypergraph:
         return json.dumps(
             {"n": self.n, "edges": [list(vertices_of(e)) for e in self.edges]}
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Hypergraph":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid hypergraph JSON: {exc}") from exc
-        if not isinstance(data, dict) or "n" not in data or "edges" not in data:
-            raise InputError("hypergraph JSON needs keys 'n' and 'edges'")
-        n = data["n"]
-        if not isinstance(n, int):
-            raise InputError("'n' must be an integer")
-        return cls(n, data["edges"])
 
 
 class Graph(Hypergraph):
@@ -245,17 +240,13 @@ def disjoint_union(H1: Hypergraph, H2: Hypergraph) -> Hypergraph:
 # -- matchings ---------------------------------------------------------
 
 
-def forcing_step(parts: tuple, e: int, vmask: int, near: Iterable[int]) -> tuple:
+def forcing_step(parts: tuple, e: int, touch: int) -> tuple:
     """Forcing parts of M + e from those of M.
 
-    vmask is V(M + e) and near holds the edges of the host that meet e.
-    Every edge inside V(M + e) but not inside V(M) meets e, so the parts
-    those edges touch are exactly the ones that merge with e.
+    touch is the union of the edges of the host that lie inside V(M + e)
+    and meet e.  Every edge inside V(M + e) but not inside V(M) meets e,
+    so the parts that touch meets are exactly the ones that merge with e.
     """
-    touch = 0
-    for f in near:
-        if not f & ~vmask:
-            touch |= f
     merged, count = e, 1
     kept = []
     for part in parts:
@@ -268,32 +259,40 @@ def forcing_step(parts: tuple, e: int, vmask: int, near: Iterable[int]) -> tuple
     return tuple(kept)
 
 
-def walk_matchings(H: Hypergraph) -> Iterator[tuple[tuple[int, ...], int, tuple]]:
-    """Yield every nonempty matching M as (sorted edge indices, V(M), parts).
+def walk_matchings(H: Hypergraph) -> Iterator[tuple[tuple[int, ...], int, tuple, int]]:
+    """Yield every nonempty matching M as (sorted edge indices, V(M), parts, inside).
 
     Matchings come in lexicographic order of their index tuples.  parts
     are the forcing parts of M as (vertex mask, edge count) pairs: the
     finest partition of M such that every edge of H[V(M)] lies inside
-    one part.
+    one part.  inside is |E(H[V(M)])|, counted apart from the parts: the
+    edges that e adds to H[V(M + e)] are the edges near e inside V(M + e),
+    and one loop over them counts them and forms the touch of
+    `forcing_step`.
     """
     edges = H.edges
     m = len(edges)
     near = [[f for f in edges if f & e] for e in edges]
     chosen: list[int] = []
 
-    def rec(start: int, used: int, parts: tuple) -> Iterator[tuple[tuple[int, ...], int, tuple]]:
+    def rec(start: int, used: int, parts: tuple, inside: int) -> Iterator[tuple]:
         for j in range(start, m):
             e = edges[j]
             if e & used:
                 continue
             vmask = used | e
-            grown = forcing_step(parts, e, vmask, near[j])
+            touch, grown_inside = 0, inside
+            for f in near[j]:
+                if not f & ~vmask:
+                    touch |= f
+                    grown_inside += 1
+            grown = forcing_step(parts, e, touch)
             chosen.append(j)
-            yield (tuple(chosen), vmask, grown)
-            yield from rec(j + 1, vmask, grown)
+            yield (tuple(chosen), vmask, grown, grown_inside)
+            yield from rec(j + 1, vmask, grown, grown_inside)
             chosen.pop()
 
-    yield from rec(0, 0, ())
+    yield from rec(0, 0, (), 0)
 
 
 def matching_number(H: Hypergraph) -> int:
@@ -317,17 +316,81 @@ def matching_number(H: Hypergraph) -> int:
     return best
 
 
-def induced_matching_number(H: Hypergraph) -> int:
-    """nu_1(H): maximum size of a matching M with E(H[V(M)]) = M.
+class MatchingFold:
+    """What the matchings of one hypergraph H give, from one walk.
 
-    That holds iff every forcing part of M is a single edge: an edge
-    inside V(M) meeting only one edge of M is that edge (antichain).
+    nu is `matching_number(H)`.  best_by_defect[t] is the largest |M| with
+    |M| - c(M) = t, where c(M) counts the forcing parts of M (0 where no
+    matching has that defect).  nu1 is the largest |M| with
+    |E(H[V(M)])| = |M|, read off the walk's inside count and never off
+    the parts, so nu1 = aim(H,1) compares two independent derivations.
+    `lower()` adds L(H,k) at every k from a second walk, on first use.
     """
-    best = 0
-    for idx, _, parts in walk_matchings(H):
-        if len(parts) == len(idx) > best:
-            best = len(idx)
-    return best
+
+    __slots__ = ("H", "nu", "best_by_defect", "nu1", "_lower")
+
+    def __init__(self, H: Hypergraph):
+        self.H = H
+        self.nu = matching_number(H)
+        best = [0] * self.nu
+        nu1 = 0
+        for idx, _, parts, inside in walk_matchings(H):
+            size = len(idx)
+            defect = size - len(parts)
+            if size > best[defect]:
+                best[defect] = size
+            if inside == size > nu1:
+                nu1 = size
+        self.best_by_defect = best
+        self.nu1 = nu1
+        self._lower: list[int] | None = None
+
+    def lower(self) -> list[int]:
+        """[L(H,1), ..., L(H,nu)], where L(H,k) = max |V(M)| - |M| over the
+        generalized k-admissible matchings M (-1 where there is none).
+
+        M is generalized k-admissible iff its forcing parts are all rigid
+        and |M| - c(M) + 1 <= k <= |M| (see `admissible`).  So the walk keeps
+        the best value per (defect, size) over the matchings whose parts
+        are all rigid, and tests rigidity only for a matching that would
+        raise its cell.
+        """
+        if self._lower is None:
+            H, nu = self.H, self.nu
+            best = [[-1] * (nu + 1) for _ in range(nu)]
+            memo: dict = {}
+            for idx, vmask, parts, _ in walk_matchings(H):
+                size = len(idx)
+                row = best[size - len(parts)]
+                value = vmask.bit_count() - size
+                if value > row[size] and all(rigid(H, p, c, memo) for p, c in parts):
+                    row[size] = value
+            self._lower = [
+                max(best[t][s] for t in range(k) for s in range(k, nu + 1))
+                for k in range(1, nu + 1)
+            ]
+        return self._lower
+
+
+_last: MatchingFold | None = None
+
+
+def matching_fold(H: Hypergraph) -> MatchingFold:
+    """The fold of H's matchings, kept for the last hypergraph asked about.
+
+    The one entry is matched by identity, and hypergraphs are immutable, so
+    aim_profile, aim, lower_bound and induced_matching_number on one H
+    share a single walk (two once L is asked for).
+    """
+    global _last
+    if _last is None or _last.H is not H:
+        _last = MatchingFold(H)
+    return _last
+
+
+def induced_matching_number(H: Hypergraph) -> int:
+    """nu_1(H): maximum size of a matching M with E(H[V(M)]) = M."""
+    return matching_fold(H).nu1
 
 
 def enumerate_matchings(edges: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
@@ -356,3 +419,16 @@ def enumerate_matchings(edges: Sequence[int], k: int) -> Iterator[tuple[int, ...
             chosen.pop()
 
     yield from rec(0, 0)
+
+
+def rigid(H: Hypergraph, vmask: int, size: int, memo: dict | None = None) -> bool:
+    """True iff every matching of H[vmask] of the given size covers vmask."""
+    if memo is not None and (vmask, size) in memo:
+        return memo[(vmask, size)]
+    inside = [e for e in H.edges if not e & ~vmask]
+    ok = all(
+        sum(inside[i] for i in idx) == vmask for idx in enumerate_matchings(inside, size)
+    )
+    if memo is not None:
+        memo[(vmask, size)] = ok
+    return ok

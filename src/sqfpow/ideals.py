@@ -130,16 +130,6 @@ class SquareFreeIdeal:
             {"n": self.n, "gens": [list(vertices_of(g)) for g in self.gens]}
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "SquareFreeIdeal":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid ideal JSON: {exc}") from exc
-        if not isinstance(data, dict) or "n" not in data or "gens" not in data:
-            raise InputError("ideal JSON needs keys 'n' and 'gens'")
-        return cls(data["n"], data["gens"])
-
 
 def edge_ideal(H: Hypergraph) -> SquareFreeIdeal:
     """I(H), generated by the edge monomials (already an antichain)."""
@@ -258,16 +248,6 @@ class GeneralMonomialIdeal:
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "gens_exp": [list(g) for g in self.gens]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneralMonomialIdeal":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid ideal JSON: {exc}") from exc
-        if not isinstance(data, dict) or "n" not in data or "gens_exp" not in data:
-            raise InputError("ideal JSON needs keys 'n' and 'gens_exp'")
-        return cls(data["n"], data["gens_exp"])
 
 
 def matching_power_general(I: GeneralMonomialIdeal, k: int) -> GeneralMonomialIdeal:

@@ -21,6 +21,7 @@ from sqfpow import (
     lower_bound,
     matching_number,
 )
+from sqfpow import hypergraphs
 from sqfpow.admissible import best_admissible_witness
 from sqfpow.corpus import random_hypergraph
 from test_hypergraphs import small_graphs, small_hypergraphs
@@ -242,6 +243,20 @@ class TestAim:
                 assert prof[k - 2] <= prof[k - 1] <= prof[k - 2] + 1
         assert prof[-1] <= nu
 
+    def test_nu1_is_not_read_off_the_forcing_parts(self, monkeypatch):
+        # aim(H,1) comes from the parts and nu1 from the induced-edge count,
+        # so a forcing step that never merges shows up as a disagreement
+        def never_merges(parts, e, touch):
+            return parts + ((e, 1),)
+
+        P4 = [(0, 1), (1, 2), (2, 3)]
+        G = Graph(4, P4)
+        assert aim_profile(G)[0] == induced_matching_number(G) == 1
+        monkeypatch.setattr(hypergraphs, "forcing_step", never_merges)
+        G = Graph(4, P4)  # a fresh object, so the fold is walked again
+        assert aim_profile(G)[0] == 2
+        assert induced_matching_number(G) == 1
+
     def test_profile_length_is_nu_not_largest_defect(self):
         # 2K2: the one matching of size 2 has two parts, so its defect is 0
         assert aim_profile(Graph(4, [(0, 1), (2, 3)])) == [2, 2]
@@ -297,6 +312,47 @@ class TestLowerBound:
             # max keeps the first of equal values, in lexicographic order
             first = max(admissible, key=value)
             assert best_admissible_witness(H, k) == is_generalized_k_admissible(H, first, k)
+
+    def test_fold_against_oracle_and_witness_on_mixed_edge_sizes(self):
+        rng = random.Random(23)
+        non_rigid = 0
+        for _ in range(60):
+            H = random_hypergraph(rng, n_range=(4, 8), size_range=(1, 4), max_edges=7)
+            sets = oracles.masks_to_sets(H.edges)
+            for m in oracles.brute_matchings(H.edges):
+                if m:
+                    parts = forcing_components(H, m).components
+                    non_rigid += not all(oracles._condition3(sets, list(p)) for p in parts)
+            for k in range(1, matching_number(H) + 1):
+                witness = best_admissible_witness(H, k)
+                value = sum(H.edges[i].bit_count() - 1 for i in witness.matching)
+                assert lower_bound(H, k) == oracles.brute_lower_bound(H.edges, k) == value
+        assert non_rigid > 0
+
+    def test_memo_answers_each_hypergraph_by_itself(self):
+        edges = [(0, 1, 2), (2, 3), (3, 4, 5), (1, 4), (5, 6), (0, 6)]
+        A = Hypergraph(7, edges)
+        B = Hypergraph(7, edges[::-1])
+        C = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+
+        def answers(H):
+            lbs = [lower_bound(H, k) for k in range(1, matching_number(H) + 1)]
+            prof = aim_profile(H) if H.uniform_size() else None
+            return lbs, prof, induced_matching_number(H)
+
+        fresh = {id(H): answers(Hypergraph(H.n, H.edges)) for H in (A, B, C)}
+        for H in (A, C, B, A, B, B, C, A):
+            assert answers(H) == fresh[id(H)]
+        for H in (C, A, C, B):
+            assert lower_bound(H, 2) == fresh[id(H)][0][1]
+            assert induced_matching_number(H) == fresh[id(H)][2]
+
+    def test_k_out_of_range_and_edgeless(self, p4):
+        for k in (0, matching_number(p4) + 1):
+            with pytest.raises(InputError):
+                lower_bound(p4, k)
+        with pytest.raises(InputError):
+            lower_bound(Hypergraph(3), 1)
 
     @given(small_graphs(max_n=6))
     @settings(max_examples=40)

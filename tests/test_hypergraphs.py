@@ -19,6 +19,7 @@ from sqfpow import (
     vertex_set,
     vertices_of,
 )
+from sqfpow.corpus import parse_instance
 from sqfpow.hypergraphs import check_matching, walk_matchings
 
 
@@ -78,7 +79,7 @@ class TestConstruction:
 
     def test_json_roundtrip(self):
         H = Hypergraph(4, [(0, 1), (2, 3)])
-        assert Hypergraph.from_json(H.to_json()) == H
+        assert parse_instance(H.to_json()) == H
         data = json.loads(H.to_json())
         assert data == {"n": 4, "edges": [[0, 1], [2, 3]]}
 
@@ -201,12 +202,13 @@ class TestWalkMatchings:
     def test_against_brute_force(self, H):
         walked = list(walk_matchings(H))
         # every nonempty matching once, in lexicographic DFS order
-        assert [idx for idx, _, _ in walked] == sorted(
+        assert [idx for idx, _, _, _ in walked] == sorted(
             m for m in oracles.brute_matchings(H.edges) if m
         )
         sets = oracles.masks_to_sets(H.edges)
-        for idx, vmask, parts in walked:
+        for idx, vmask, parts, inside in walked:
             assert vmask == sum(H.edges[i] for i in idx)
+            assert inside == sum(not e & ~vmask for e in H.edges)
             ours = []
             for pmask, count in parts:
                 part = [i for i in idx if H.edges[i] & pmask]
@@ -226,10 +228,10 @@ class TestWalkMatchings:
 
     def test_p4(self, p4):
         assert list(walk_matchings(p4)) == [
-            ((0,), 0b0011, ((0b0011, 1),)),
-            ((0, 2), 0b1111, ((0b1111, 2),)),
-            ((1,), 0b0110, ((0b0110, 1),)),
-            ((2,), 0b1100, ((0b1100, 1),)),
+            ((0,), 0b0011, ((0b0011, 1),), 1),
+            ((0, 2), 0b1111, ((0b1111, 2),), 3),
+            ((1,), 0b0110, ((0b0110, 1),), 1),
+            ((2,), 0b1100, ((0b1100, 1),), 1),
         ]
 
 class TestCheckMatching:
