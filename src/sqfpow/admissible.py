@@ -51,12 +51,11 @@ class ForcingPartition:
 
 @dataclass(frozen=True)
 class AdmissibleWitness:
-    """A matching plus a certified partition proving (generalized) admissibility."""
+    """A matching plus a certified partition proving generalized admissibility."""
 
     matching: tuple[int, ...]
     parts: tuple[tuple[int, ...], ...]
     k: int
-    generalized: bool
 
     def to_json_dict(self, H: Hypergraph) -> dict:
         return {
@@ -112,7 +111,7 @@ def is_generalized_k_admissible(
     parts = _forcing_parts(H, idx)
     if not _admissible(H, len(idx), parts, k, {}):
         return None
-    return AdmissibleWitness(idx, _index_parts(H, idx, parts), k, generalized=True)
+    return AdmissibleWitness(idx, _index_parts(H, idx, parts), k)
 
 
 def _admissible(H: Hypergraph, size: int, parts: tuple, k: int, memo: dict) -> bool:
@@ -203,7 +202,7 @@ def best_admissible_witness(H: Hypergraph, k: int) -> AdmissibleWitness | None:
     if best is None:
         return None
     idx, parts = best
-    return AdmissibleWitness(idx, _index_parts(H, idx, parts), k, generalized=True)
+    return AdmissibleWitness(idx, _index_parts(H, idx, parts), k)
 
 
 def lower_bound(H: Hypergraph, k: int) -> int:

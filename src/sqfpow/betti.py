@@ -303,14 +303,11 @@ class _WComplex:
         return None
 
 
-def _validate(I: SquareFreeIdeal, characteristic: int, allow_degenerate: bool) -> None:
-    _check_characteristic(characteristic)
+def _check_budget(I: SquareFreeIdeal) -> None:
     if I.n > BETTI_MAX_VARS:
         raise BudgetError(
             f"n={I.n} exceeds the subset-homology budget of {BETTI_MAX_VARS} variables"
         )
-    if not allow_degenerate and (I.is_zero() or I.is_unit()):
-        raise InputError("Betti table of the zero or unit ideal is not defined here")
 
 
 def _min_degree_inside(gens: tuple[int, ...], W: int) -> int:
@@ -319,7 +316,10 @@ def _min_degree_inside(gens: tuple[int, ...], W: int) -> int:
 
 def betti_table(I: SquareFreeIdeal, characteristic: int = 2) -> BettiTable:
     """Full N-graded Betti table of a proper nonzero square-free ideal."""
-    _validate(I, characteristic, allow_degenerate=False)
+    _check_characteristic(characteristic)
+    _check_budget(I)
+    if I.is_zero() or I.is_unit():
+        raise InputError("Betti table of the zero or unit ideal is not defined here")
     nf = _nonface_flags(I.n, I.gens)
     entries: dict[tuple[int, int], int] = {}
     for W in sorted(_closed_vertex_sets(I.gens)):
@@ -367,10 +367,7 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
     _check_characteristic(characteristic)
     if I.is_zero() or I.is_unit():
         return 0
-    if I.n > BETTI_MAX_VARS:
-        raise BudgetError(
-            f"n={I.n} exceeds the subset-homology budget of {BETTI_MAX_VARS} variables"
-        )
+    _check_budget(I)
     best = I.max_degree()
     closed = _closed_vertex_sets(I.gens)
     # by decreasing size, then decreasing mask: two stable sorts on C keys

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .hypergraphs import MAX_VERTICES, Graph, Hypergraph, InputError
-from .ideals import GeneralMonomialIdeal, SquareFreeIdeal
+from .ideals import GeneralMonomialIdeal, SquareFreeIdeal, edge_ideal
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -164,8 +164,6 @@ def random_hypergraph(
         if any(mask & e in (mask, e) for e in edges):
             continue
         edges.append(mask)
-    if not edges:
-        edges = [(1 << size_range[0]) - 1]
     return Hypergraph(n, edges)
 
 
@@ -216,21 +214,8 @@ def random_squarefree_ideal(
     max_gens: int = 6,
     deg_range: tuple[int, int] = (1, 4),
 ) -> SquareFreeIdeal:
-    """Random proper nonzero square-free ideal (interreduced on construction)."""
-    n = rng.randint(*n_range)
-    target = rng.randint(1, max_gens)
-    gens: list[int] = []
-    for _ in range(40 * target):
-        if len(gens) == target:
-            break
-        deg = rng.randint(deg_range[0], min(deg_range[1], n))
-        mask = 0
-        for v in rng.sample(range(n), deg):
-            mask |= 1 << v
-        if any(mask & g in (mask, g) for g in gens):
-            continue
-        gens.append(mask)
-    return SquareFreeIdeal(n, gens)
+    """Random proper nonzero square-free ideal: the edge ideal of a random hypergraph."""
+    return edge_ideal(random_hypergraph(rng, n_range, deg_range, max_gens))
 
 
 def random_general_ideal(

@@ -117,7 +117,9 @@ def is_weakly_chordal(G: Graph) -> bool:
         )
     if _has_induced_cycle_ge(G.adj, G.n, 5):
         return False
-    return not _has_induced_cycle_ge(G.complement().adj, G.n, 5)
+    full = (1 << G.n) - 1
+    co_adj = tuple(full & ~row & ~(1 << v) for v, row in enumerate(G.adj))
+    return not _has_induced_cycle_ge(co_adj, G.n, 5)
 
 
 def maximal_cliques(G: Graph) -> list[int]:

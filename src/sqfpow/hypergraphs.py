@@ -2,7 +2,10 @@
 
 Vertices are the integers 0..n-1 and every vertex set is a plain Python
 int used as a bit mask, so set algebra is single-word machine arithmetic
-at the sizes this package targets (n <= 64).
+at the sizes this package targets (n <= 64).  `masks_of` is the one
+range check of the masks a constructor is given, and `minimal_masks` the
+one minimality routine: the edges of a simple hypergraph are exactly the
+minimal generators of its edge ideal.
 
 Three scans cover the matchings: `walk_matchings` visits every matching
 with its forcing parts and its count of induced edges, `matching_number`
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -55,12 +59,41 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _normalize_edge(edge, n: int) -> int:
-    if isinstance(edge, int):
-        if edge < 0 or edge >> n:
-            raise InputError(f"edge mask {edge:#x} out of range for n={n}")
-        return edge
-    return vertex_set(edge, n)
+def masks_of(n: int, items: Sequence) -> list[int]:
+    """Check n against MAX_VERTICES and turn items (int masks or vertex
+    lists) into masks, range-checked against n."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise InputError(f"universe size {n} not in 0..{MAX_VERTICES}")
+    masks = [x if isinstance(x, int) else vertex_set(x, n) for x in items]
+    if masks and (min(masks) < 0 or max(masks) >> n):
+        bad = next(m for m in masks if m < 0 or m >> n)
+        raise InputError(f"mask {bad:#x} out of range for n={n}")
+    return masks
+
+
+def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
+    """The minimal masks under inclusion, duplicates dropped, by (degree, mask).
+
+    Distinct masks of one degree never contain each other, so masks of one
+    degree need no test, and otherwise each mask is tested only against the
+    kept masks of strictly lower degree.
+    """
+    uniq = sorted(set(masks))
+    uniq.sort(key=int.bit_count)
+    if not uniq or uniq[0].bit_count() == uniq[-1].bit_count():
+        return tuple(uniq)
+    kept: list[int] = []
+    for _, same_degree in groupby(uniq, key=int.bit_count):
+        # the list is built before it extends kept, so only lower degrees are tested
+        kept += [m for m in same_degree if not any(g & m == g for g in kept)]
+    return tuple(kept)
+
+
+def _first_clash(masks: list[int]) -> tuple[int, int]:
+    """The first mask that repeats, contains or lies in an earlier one, with
+    that earlier one.  Pairwise, so it runs only after a failed minimality
+    check."""
+    return next((a, b) for i, a in enumerate(masks) for b in masks[:i] if a & b in (a, b))
 
 
 class Hypergraph:
@@ -73,19 +106,14 @@ class Hypergraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Sequence = ()):
-        if not 0 <= n <= MAX_VERTICES:
-            raise InputError(f"vertex count {n} not in 0..{MAX_VERTICES}")
-        masks = [_normalize_edge(e, n) for e in edges]
-        for i, a in enumerate(masks):
-            if a == 0:
-                raise InputError("empty edge")
-            for b in masks[:i]:
-                # containment either way breaks simplicity; equality is a dup
-                if a & b in (a, b):
-                    raise InputError(
-                        f"edges {vertices_of(a)} and {vertices_of(b)} violate "
-                        "the antichain condition"
-                    )
+        masks = masks_of(n, edges)
+        if 0 in masks:
+            raise InputError("empty edge")
+        if len(minimal_masks(masks)) < len(masks):
+            a, b = _first_clash(masks)
+            raise InputError(
+                f"edges {vertices_of(a)} and {vertices_of(b)} violate the antichain condition"
+            )
         self.n = n
         self.edges = tuple(masks)
 
@@ -151,16 +179,6 @@ class Graph(Hypergraph):
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        edges = []
-        for u in range(self.n):
-            others = full & ~self.adj[u] & ~(1 << u)
-            for v in vertices_of(others):
-                if v > u:
-                    edges.append((1 << u) | (1 << v))
-        return Graph(self.n, edges)
 
     def remove_vertices(self, mask: int) -> "Graph":
         """Same universe, minus all edges meeting mask (vertices isolated)."""

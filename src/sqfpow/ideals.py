@@ -8,32 +8,18 @@ lcm is bitwise or.  General monomial ideals carry exponent vectors.
 from __future__ import annotations
 
 import json
-from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .hypergraphs import (
+    MAX_VERTICES,
     Hypergraph,
     InputError,
     enumerate_matchings,
+    masks_of,
     matching_number,
-    vertex_set,
+    minimal_masks,
     vertices_of,
 )
-
-
-def _interreduce_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    """The minimal masks, by (degree, mask).
-
-    Distinct masks of one degree never divide each other, so each mask is
-    tested only against the kept masks of strictly lower degree.
-    """
-    uniq = sorted(set(masks))
-    uniq.sort(key=int.bit_count)
-    kept: list[int] = []
-    for _, same_degree in groupby(uniq, key=int.bit_count):
-        # the list is built before it extends kept, so only lower degrees are tested
-        kept += [m for m in same_degree if not any(g & m == g for g in kept)]
-    return tuple(kept)
 
 
 class SquareFreeIdeal:
@@ -46,18 +32,8 @@ class SquareFreeIdeal:
     __slots__ = ("n", "gens")
 
     def __init__(self, n: int, gens: Sequence = ()):
-        if not 0 <= n <= 64:
-            raise InputError(f"universe size {n} not in 0..64")
-        masks = []
-        for g in gens:
-            if isinstance(g, int):
-                if g < 0 or g >> n:
-                    raise InputError(f"monomial mask {g:#x} out of range for n={n}")
-                masks.append(g)
-            else:
-                masks.append(vertex_set(g, n))
         self.n = n
-        self.gens = _interreduce_masks(masks)
+        self.gens = minimal_masks(masks_of(n, gens))
 
     # -- predicates ------------------------------------------------------
 
@@ -153,22 +129,6 @@ def sqfree_power(H: Hypergraph, k: int) -> SquareFreeIdeal:
     return SquareFreeIdeal(H.n, gens)
 
 
-def product_disjoint(I: SquareFreeIdeal, J: SquareFreeIdeal) -> SquareFreeIdeal:
-    """I*J on a common universe where the generator supports never overlap."""
-    I._same_universe(J)
-    if I.is_zero() or J.is_zero():
-        return SquareFreeIdeal(I.n)
-    supp_i = 0
-    for g in I.gens:
-        supp_i |= g
-    supp_j = 0
-    for g in J.gens:
-        supp_j |= g
-    if supp_i & supp_j:
-        raise InputError("product factors must live on disjoint variables")
-    return SquareFreeIdeal(I.n, [a | b for a in I.gens for b in J.gens])
-
-
 def splitting_for_disjoint_union(
     H: Hypergraph, H2: Hypergraph, k: int
 ) -> tuple[SquareFreeIdeal, SquareFreeIdeal]:
@@ -191,10 +151,11 @@ def splitting_for_disjoint_union(
     def lift2(j: int) -> SquareFreeIdeal:
         return SquareFreeIdeal(n, [g << H.n for g in sqfree_power(H2, j).gens])
 
-    J = product_disjoint(lift1(nu1), lift2(k - nu1))
+    # on disjoint variables the product of two ideals is their lcm intersection
+    J = lift1(nu1).intersect(lift2(k - nu1))
     K = SquareFreeIdeal(n)
     for i in range(nu1 - 1, k - nu2 - 1, -1):
-        K = K.plus(product_disjoint(lift1(i), lift2(k - i)))
+        K = K.plus(lift1(i).intersect(lift2(k - i)))
     return J, K
 
 
@@ -285,8 +246,8 @@ def polarize(
     for i, c in enumerate(caps):
         offsets[i] = total
         total += c
-    if total > 64:
-        raise InputError("polarized universe exceeds 64 variables")
+    if total > MAX_VERTICES:
+        raise InputError(f"polarized universe exceeds {MAX_VERTICES} variables")
     masks = []
     for g in I.gens:
         mask = 0

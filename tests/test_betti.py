@@ -137,6 +137,13 @@ class TestBettiTable:
     def test_budget(self):
         with pytest.raises(BudgetError):
             betti_table(SquareFreeIdeal(21, [(0, 1)]))
+        with pytest.raises(BudgetError):
+            regularity(SquareFreeIdeal(21, [(0, 1)]))
+        # regularity answers the zero ideal before it checks the budget;
+        # betti_table checks the budget first
+        assert regularity(SquareFreeIdeal(21)) == 0
+        with pytest.raises(BudgetError):
+            betti_table(SquareFreeIdeal(21))
 
     @given(st.integers(0, 9), st.lists(st.integers(0, 2**9 - 1), max_size=5))
     def test_nonface_flags_mark_supersets(self, n, masks):

@@ -73,6 +73,10 @@ class TestAimGensBetti:
         assert code == 0
         assert json.loads(out) == {"n": 4, "gens": [[0, 1, 2, 3]]}
 
+    def test_gens_int_mask_out_of_range_exit2(self, capsys):
+        code, out, err = run(capsys, "gens", '{"n": 3, "gens": [8]}', "--k", "1")
+        assert code == 2 and "out of range" in err and out == ""
+
     def test_betti_csv(self, capsys):
         code, out, _ = run(capsys, "betti", "A_")
         assert code == 0

@@ -11,6 +11,7 @@ from sqfpow import (
     Graph,
     Hypergraph,
     InputError,
+    SquareFreeIdeal,
     disjoint_union,
     enumerate_matchings,
     induced_matching_number,
@@ -40,6 +41,20 @@ def small_hypergraphs(draw, max_n=7, max_edges=5, sizes=(1, 3)):
     return Hypergraph(n, edges)
 
 
+def _pairwise_clash(masks) -> bool:
+    """Brute force: some edge is empty, or repeats, contains or lies in an earlier one."""
+    return any(a == 0 or any(a & b in (a, b) for b in masks[:i]) for i, a in enumerate(masks))
+
+
+def _mask_lists(n):
+    return st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+
+
+def _pair_lists(n):
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    return st.tuples(st.just(n), st.lists(st.just([]) | pair, max_size=8))
+
+
 @st.composite
 def small_graphs(draw, max_n=7):
     n = draw(st.integers(1, max_n))
@@ -60,6 +75,31 @@ class TestConstruction:
     def test_rejects_empty_edge(self):
         with pytest.raises(InputError):
             Hypergraph(3, [()])
+
+    @given(st.integers(0, 5).flatmap(_mask_lists))
+    def test_rejects_exactly_the_pairwise_clashes(self, case):
+        n, masks = case
+        if _pairwise_clash(masks):
+            with pytest.raises(InputError):
+                Hypergraph(n, masks)
+        else:
+            assert Hypergraph(n, masks).edges == tuple(masks)
+
+    @given(st.integers(2, 5).flatmap(_pair_lists))
+    def test_graph_rejects_exactly_the_pairwise_clashes(self, case):
+        n, pairs = case
+        masks = [vertex_set(p, n) for p in pairs]
+        if _pairwise_clash(masks):
+            with pytest.raises(InputError):
+                Graph(n, pairs)
+        else:
+            assert Graph(n, pairs).edges == tuple(masks)
+
+    @pytest.mark.parametrize("cls", [Hypergraph, SquareFreeIdeal])
+    @pytest.mark.parametrize("mask", [-1, 1 << 3])
+    def test_rejects_out_of_range_int_mask(self, cls, mask):
+        with pytest.raises(InputError):
+            cls(3, [0b11, mask])
 
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(InputError):
