@@ -38,9 +38,10 @@ so a smallest W that beats best is never skipped, and W is skipped.  If
 lk v has homology and W - v is a cone, H~_t(Delta[W]) = H~_{t-1}(lk v),
 so best becomes the top link degree + 3 without Delta[W].  Only when
 lk v has homology and W - v is a union of generators is Delta[W] built.
-The link is a _WComplex on W - v with v as its apex bit; its floor level
-is cut from the list of size-best faces through v when that list is the
-shorter one.
+v is the vertex of W that lies in the fewest size-best faces of the
+whole complex.  The link is a _WComplex on W - v with v as its apex bit;
+its floor level is cut from the list of size-best faces through v when
+that list is the shorter one.
 """
 
 from __future__ import annotations
@@ -337,32 +338,11 @@ def betti_table(I: SquareFreeIdeal, characteristic: int = 2) -> BettiTable:
 def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
     """reg(I) = max{j - i : beta_{i,j} != 0}; 0 for the zero and unit ideals.
 
-    Fast path: tracks the best value seen and skips every W (and every
-    homology degree) that cannot beat it.  W are scanned by decreasing
-    size, down to |W| = best + 2; W beats best only through some
-    H~_t(Delta[W]) != 0 with t >= best - 1.  Before Delta[W] is built,
-    the link of one vertex v of W is ranked: the vertex of W that lies in
-    the fewest size-best faces of the whole complex.  The exact sequence
-
-        H~_t(Delta[W - v]) -> H~_t(Delta[W]) -> H~_{t-1}(lk v)
-
-    decides three cases:
-
-    - H~_{>= best-2}(lk v) = 0: every class of Delta[W] that could beat
-      best is the image of one of Delta[W - v], so W is skipped.  W - v is
-      covered: it is a cone if it is not a union of generators, it cannot
-      beat best if it has at most best + 1 vertices, and it is scanned
-      itself otherwise.  The smallest W that beats best is never skipped.
-    - W - v is not a union of generators: Delta[W - v] is a cone, so
-      H~_t(Delta[W]) = H~_{t-1}(lk v) and best = top link degree + 3.
-    - otherwise Delta[W] is built and ranked as well.
-
-    The floor levels, the size-best faces of Delta[W] and the
-    size-(best - 1) faces of the link, are cut from one list of the
-    size-best faces of the whole complex, built again only when best
-    changes, and from its split by vertex (through[v]).  Each complex
-    cuts its level from its list only when the list is shorter than the
-    subsets it would test instead.
+    Raises InputError unless the characteristic is a prime below 2^64,
+    and BudgetError above BETTI_MAX_VARS variables (the zero and unit
+    ideals answer 0 first).  The scan of W by decreasing size, its stop
+    rule and the link test that skips most W are set out in the module
+    docstring.
     """
     _check_characteristic(characteristic)
     if I.is_zero() or I.is_unit():

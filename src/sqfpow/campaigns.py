@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 
 from . import graphclasses
 from .admissible import aim_profile, best_admissible_witness, lower_bound
-from .betti import betti_splitting_check, betti_table, regularity
+from .betti import _check_characteristic, betti_splitting_check, betti_table, regularity
 from .corpus import Corpus
 from .hypergraphs import (
     Graph,
@@ -241,6 +241,7 @@ def _run_splitting(pair: tuple, ctx: dict) -> Iterator[tuple]:
     nu1 = matching_number(H1)
     nu2 = matching_number(H2)
     union = disjoint_union(H1, H2)
+    rj = None  # reg of the top slice I(H1)^[nu1], the same for every k
     for k in range(nu1 + 1, nu1 + nu2 + 1):
         if ctx.get("kmax") is not None and k > ctx["kmax"]:
             break
@@ -257,7 +258,8 @@ def _run_splitting(pair: tuple, ctx: dict) -> Iterator[tuple]:
             data["violations"] = check["violations"]
             # regularity consequence of the splitting
             reg_union = regularity(ideal, char)
-            rj = regularity(SquareFreeIdeal(union.n, sqfree_power(H1, nu1).gens), char)
+            if rj is None:
+                rj = regularity(SquareFreeIdeal(union.n, sqfree_power(H1, nu1).gens), char)
             r2a = regularity(sqfree_power(H2, k - nu1), char)
             r2b = regularity(sqfree_power(H2, k - nu1 + 1), char)
             bound = max(rj + r2a, rj + r2b - 1)
@@ -612,6 +614,7 @@ def run_campaign(name: str, corpus: Corpus, params: dict | None = None) -> Campa
     ctx.update(params or {})
     if ctx["kmax"] is not None and ctx["kmax"] < 1:
         raise InputError(f"kmax must be at least 1, got {ctx['kmax']}")
+    _check_characteristic(ctx["char"])
     prepare, _ = CAMPAIGNS[name]
     report = CampaignReport(name, dict(ctx))
     tasks = []

@@ -58,6 +58,8 @@ def _as_power_ideal(obj, k: int) -> SquareFreeIdeal:
             return obj if k == 1 else sqfree_power(Hypergraph(obj.n), k)
         return sqfree_power(obj.hypergraph(), k)
     if isinstance(obj, GeneralMonomialIdeal):
+        if k <= 0:
+            return SquareFreeIdeal(obj.n, [0])
         # regularity of a general monomial ideal is read off its polarization
         return polarize(matching_power_general(obj, k)) if k > 1 else polarize(obj)
     raise InputError(f"cannot interpret {obj!r}")

@@ -4,78 +4,79 @@ Covers chordal / weakly chordal recognition, free (simplicial) vertices,
 block decompositions with leaf / distant-leaf / special-block flags,
 block paths through the block-cut tree, Cohen-Macaulay clique
 partitions, and the colon graph of an edge.
+
+One maximum cardinality search gives everything chordal: its reversed
+visit order is a perfect elimination ordering (PEO) exactly when G is
+chordal, and each vertex with its later neighbours in that order is a
+clique, so the maximal cliques are those sets not contained in an
+earlier one.  `maximal_cliques` therefore takes chordal graphs only.
+The Cohen-Macaulay partition needs no search: a free vertex v lies in
+exactly one maximal clique, N[v], so a partition of V into maximal
+cliques each holding a free vertex can only be {N[v] : v free}
+(Herzog-Hibi-Zheng 2006, Thm 2.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .hypergraphs import BudgetError, Graph, InputError, vertices_of
+from .hypergraphs import BudgetError, Graph, InputError, vertex_set, vertices_of
 from .ideals import SquareFreeIdeal
 
 WEAKLY_CHORDAL_MAX_VERTICES = 16
 
 
+def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
+    """The vertices of mask are pairwise adjacent."""
+    m = mask
+    while m:
+        low = m & -m
+        if mask & ~low & ~adj[low.bit_length() - 1]:
+            return False
+        m ^= low
+    return True
+
+
 def free_vertices(G: Graph) -> int:
     """Mask of simplicial vertices: N(v) induces a complete graph."""
-    out = 0
-    for v in range(G.n):
-        nv = G.adj[v]
-        m = nv
-        ok = True
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            if nv & ~low & ~G.adj[u]:
-                ok = False
-                break
-            m ^= low
-        if ok:
-            out |= 1 << v
-    return out
+    return sum(1 << v for v in range(G.n) if _is_clique(G.adj, G.adj[v]))
+
+
+def _chordal_pass(G: Graph) -> tuple[tuple[int, ...], list[int]] | None:
+    """(peo, sorted maximal cliques) from one maximum cardinality search.
+
+    The reversed visit order is a PEO when the later neighbours `up` of
+    every vertex v form a clique; the maximal cliques are the sets v | up
+    not contained in an earlier one.  None when G is not chordal.
+    """
+    weight = [0] * G.n
+    unvisited = list(range(G.n))
+    order = []
+    while unvisited:
+        best = max(unvisited, key=weight.__getitem__)
+        unvisited.remove(best)
+        order.append(best)
+        for u in unvisited:
+            weight[u] += G.adj[best] >> u & 1
+    peo = tuple(reversed(order))
+    cliques: list[int] = []
+    later = (1 << G.n) - 1
+    for v in peo:
+        later &= ~(1 << v)
+        up = G.adj[v] & later
+        if not _is_clique(G.adj, up):
+            return None
+        clique = up | 1 << v
+        if not any(clique & ~c == 0 for c in cliques):
+            cliques.append(clique)
+    return peo, sorted(cliques)
 
 
 def is_chordal(G: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """Maximum cardinality search; reversed visit order checked as a PEO.
-
-    Returns (True, peo) with a certified perfect elimination ordering,
-    or (False, None).
-    """
-    n = G.n
-    weight = [0] * n
-    visited = 0
-    order = []
-    for _ in range(n):
-        best, best_w = -1, -1
-        for v in range(n):
-            if visited >> v & 1:
-                continue
-            if weight[v] > best_w:
-                best, best_w = v, weight[v]
-        visited |= 1 << best
-        order.append(best)
-        m = G.adj[best] & ~visited
-        while m:
-            low = m & -m
-            weight[low.bit_length() - 1] += 1
-            m ^= low
-    peo = tuple(reversed(order))
-    pos = [0] * n
-    for i, v in enumerate(peo):
-        pos[v] = i
-    later = [0] * n
-    acc = 0
-    for i in range(n - 1, -1, -1):
-        later[i] = acc
-        acc |= 1 << peo[i]
-    for i, v in enumerate(peo):
-        up = G.adj[v] & later[i]
-        if not up:
-            continue
-        w = min(vertices_of(up), key=lambda u: pos[u])
-        if up & ~(1 << w) & ~G.adj[w]:
-            return False, None
-    return True, peo
+    """(True, peo) with a certified perfect elimination ordering, or (False, None)."""
+    got = _chordal_pass(G)
+    return (False, None) if got is None else (True, got[0])
 
 
 def _has_induced_cycle_ge(adj: tuple[int, ...], n: int, length: int) -> bool:
@@ -123,48 +124,24 @@ def is_weakly_chordal(G: Graph) -> bool:
 
 
 def maximal_cliques(G: Graph) -> list[int]:
-    """All maximal cliques (Bron-Kerbosch with pivoting), sorted as masks."""
-    cliques: list[int] = []
+    """All maximal cliques of a chordal graph, sorted as masks."""
+    got = _chordal_pass(G)
+    if got is None:
+        raise InputError("maximal cliques are listed for chordal graphs only")
+    return got[1]
 
-    def bk(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            cliques.append(r)
-            return
-        pool = p | x
-        pivot, best = -1, -1
-        m = pool
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            deg = (G.adj[u] & p).bit_count()
-            if deg > best:
-                pivot, best = u, deg
-            m ^= low
-        m = p & ~G.adj[pivot]
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            bk(r | low, p & G.adj[v], x & G.adj[v])
-            p &= ~low
-            x |= low
-            m ^= low
 
-    if G.n:
-        bk(0, (1 << G.n) - 1, 0)
-    return sorted(cliques)
+def _block_cliques(G: Graph) -> list[int] | None:
+    """The maximal cliques of a block graph, None when G is not one."""
+    got = _chordal_pass(G)
+    if got is None or any((a & b).bit_count() > 1 for a, b in combinations(got[1], 2)):
+        return None
+    return got[1]
 
 
 def is_block_graph(G: Graph) -> bool:
     """Chordal and any two maximal cliques share at most one vertex."""
-    ok, _ = is_chordal(G)
-    if not ok:
-        return False
-    cliques = maximal_cliques(G)
-    for i, a in enumerate(cliques):
-        for b in cliques[:i]:
-            if (a & b).bit_count() > 1:
-                return False
-    return True
+    return _block_cliques(G) is not None
 
 
 @dataclass(frozen=True)
@@ -215,9 +192,10 @@ def _special_type(d: int, loaded: list[int], bad: list[int]) -> str:
 
 def block_decomposition(G: Graph) -> BlockDecomposition:
     """Blocks with leaf / distant-leaf / special flags; rejects non-block graphs."""
-    if not is_block_graph(G):
+    cliques = _block_cliques(G)
+    if cliques is None:
         raise InputError("not a block graph")
-    blocks = tuple(maximal_cliques(G))
+    blocks = tuple(cliques)
     counts = [0] * G.n
     for blk in blocks:
         for v in vertices_of(blk):
@@ -338,7 +316,7 @@ def lambda_ideal(
     _, lam = lambda_blocks(G, block_mask, u_last)
     masks = []
     for d in S:
-        mask = d if isinstance(d, int) else sum(1 << v for v in d)
+        mask = d if isinstance(d, int) else vertex_set(d, G.n)
         if mask not in lam:
             raise InputError(f"{vertices_of(mask)} is not a member of Λ")
         masks.append(mask)
@@ -351,39 +329,19 @@ def lambda_ideal(
 def cm_clique_partition(G: Graph) -> tuple[int, ...] | None:
     """A partition of V into maximal cliques each holding a free vertex.
 
-    Exact-cover search over the admissible cliques, branching on the
-    uncovered vertex with the fewest candidates; None if no witness
-    exists (in particular for non-chordal G).
+    The only candidate is {N[v] : v free}; it is returned, sorted, when
+    G is chordal and those cliques are disjoint and cover V, and None
+    otherwise.
     """
-    ok, _ = is_chordal(G)
-    if not ok:
+    if _chordal_pass(G) is None:
         return None
-    free = free_vertices(G)
-    cands = [c for c in maximal_cliques(G) if c & free]
-
-    def rec(uncovered: int, acc: list[int]) -> tuple[int, ...] | None:
-        if not uncovered:
-            return tuple(sorted(acc))
-        best_v, best_list = -1, None
-        m = uncovered
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            lst = [c for c in cands if c >> v & 1 and not c & ~uncovered]
-            if best_list is None or len(lst) < len(best_list):
-                best_v, best_list = v, lst
-                if not lst:
-                    return None
-            m ^= low
-        for c in best_list:
-            acc.append(c)
-            got = rec(uncovered & ~c, acc)
-            if got is not None:
-                return got
-            acc.pop()
-        return None
-
-    return rec((1 << G.n) - 1, [])
+    parts = sorted({G.adj[v] | 1 << v for v in vertices_of(free_vertices(G))})
+    covered = 0
+    for p in parts:
+        if p & covered:
+            return None
+        covered |= p
+    return tuple(parts) if covered == (1 << G.n) - 1 else None
 
 
 def is_cm_chordal(G: Graph) -> bool:

@@ -247,5 +247,33 @@ def to_networkx(G):
     return H
 
 
+def brute_cm_partition(G):
+    """The partition of V into maximal cliques each holding a free vertex.
+
+    networkx lists the maximal cliques; a vertex is free when networkx
+    counts a complete graph on its neighbours; every subset of the
+    cliques holding a free vertex is tried.  None for a non-chordal G or
+    when no subset partitions V.  Two different partitions would
+    contradict Herzog-Hibi-Zheng 2006, Thm 2.1, and raise.
+    """
+    H = to_networkx(G)
+    if not nx.is_chordal(H):
+        return None
+    free = {
+        v
+        for v in H
+        if H.subgraph(H[v]).number_of_edges() == H.degree(v) * (H.degree(v) - 1) // 2
+    }
+    cands = [frozenset(c) for c in nx.find_cliques(H) if free & set(c)]
+    found = []
+    for r in range(len(cands) + 1):
+        for combo in combinations(cands, r):
+            if sum(map(len, combo)) == G.n and set().union(*combo) == set(H):
+                found.append(tuple(sorted(sum(1 << v for v in c) for c in combo)))
+    if len(found) > 1:
+        raise AssertionError(f"two clique partitions {found}")
+    return found[0] if found else None
+
+
 def graph6_of(G):
     return nx.to_graph6_bytes(to_networkx(G), header=False).decode().strip()

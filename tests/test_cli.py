@@ -43,6 +43,15 @@ class TestReg:
         code, out, _ = run(capsys, "reg", str(path))
         assert code == 0 and out.strip() == "2"
 
+    def test_general_ideal_k_nonpositive_is_unit(self, capsys):
+        # I^[k] = R for k <= 0, also for exponent-vector input
+        ideal = '{"n":2,"gens_exp":[[2,0],[0,1]]}'
+        for k in ("0", "-1"):
+            code, out, _ = run(capsys, "reg", ideal, "--k", k)
+            assert code == 0 and out.strip() == "0"
+            code, out, _ = run(capsys, "gens", ideal, "--k", k)
+            assert code == 0 and json.loads(out) == {"n": 2, "gens": [[]]}
+
     def test_hypergraph_json(self, capsys, tmp_path):
         path = tmp_path / "h.json"
         path.write_text('{"n":6,"edges":[[0,1,2],[3,4,5]]}')
@@ -175,6 +184,21 @@ class TestCampaignCommand:
             capsys, "campaign", "chordal-conjecture", "--bundled", "connected_le7", "--kmax", "0"
         )
         assert code == 2 and "kmax" in err and out == ""
+
+    def test_bad_characteristic_exit2(self, capsys):
+        # aim-deletion computes no regularity, so only the up-front check sees it
+        code, out, err = run(
+            capsys,
+            "campaign",
+            "aim-deletion",
+            "--bundled",
+            "connected_le7",
+            "--nmax",
+            "4",
+            "--char",
+            "4",
+        )
+        assert code == 2 and "not prime" in err and out == ""
 
     def test_reports_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]

@@ -12,6 +12,7 @@ from sqfpow import (
     SquareFreeIdeal,
     block_decomposition,
     block_path,
+    bundled_corpus,
     cm_clique_partition,
     colon_graph,
     free_vertices,
@@ -110,15 +111,33 @@ class TestFreeVertices:
         assert free_vertices(c5) == 0
 
 
+def _nx_cliques(G):
+    return sorted(
+        sum(1 << v for v in clique) for clique in nx.find_cliques(oracles.to_networkx(G))
+    )
+
+
+def _bundled_graphs(name, nmax):
+    return [item.obj for item in bundled_corpus(name) if item.obj.n <= nmax]
+
+
 class TestCliques:
     @given(small_graphs(max_n=8))
     @settings(max_examples=80)
     def test_against_networkx(self, G):
-        want = sorted(
-            sum(1 << v for v in clique)
-            for clique in nx.find_cliques(oracles.to_networkx(G))
-        ) if G.n else []
-        assert maximal_cliques(G) == want
+        if not is_chordal(G)[0]:
+            return
+        assert maximal_cliques(G) == _nx_cliques(G)
+
+    def test_chordal_le9_against_networkx(self):
+        graphs = _bundled_graphs("chordal_le9", 8)
+        assert len(graphs) > 2000
+        for G in graphs:
+            assert maximal_cliques(G) == _nx_cliques(G), G
+
+    def test_non_chordal_rejected(self):
+        with pytest.raises(InputError):
+            maximal_cliques(cycle_graph(4))
 
 
 class TestBlockDecomposition:
@@ -270,6 +289,11 @@ class TestSpecialBlocks:
         assert lambda_blocks(fig1, 0b111)[1] == ()
         with pytest.raises(InputError):
             lambda_ideal(fig1, B, [(0, 1)])
+        # a repeated vertex must not carry into the next bit: 11+11 is not 12
+        with pytest.raises(InputError):
+            lambda_ideal(fig1, B, [(11, 11, 13)])
+        with pytest.raises(InputError):
+            lambda_ideal(fig1, B, [(12, 17)])
 
 
 class TestCmCliquePartition:
@@ -302,6 +326,15 @@ class TestCmCliquePartition:
             assert p in cliques and p & free
             assert not p & union
             union |= p
+
+    @pytest.mark.parametrize("name, nmax", [("graphs_le7", 7), ("chordal_le9", 8)])
+    def test_against_brute_force(self, name, nmax):
+        found = 0
+        for G in _bundled_graphs(name, nmax):
+            want = oracles.brute_cm_partition(G)
+            assert cm_clique_partition(G) == want, G
+            found += want is not None
+        assert found > 50
 
 
 class TestColonGraph:
