@@ -6,6 +6,13 @@ a prime field.  Only W that are unions of generator supports contribute
 (any other restriction is a cone), and below the minimal generator
 degree inside W the complex is a full skeleton with no homology.
 
+Two byte tables over the 2^n vertex sets say which W are such unions
+(closed) and which sets are nonfaces (contain a generator).  Both come
+from bit-parallel superset closures: for each vertex v, the sets that
+contain a generator through v form one 2^n-bit integer, closed upward
+in n - 1 shift-and-or steps.  W is closed when each of its vertices
+lies in a generator inside W, and a nonface when one of them does.
+
 Each query gives the complex of W a floor, the lowest homology degree it
 reads: betti_table the top of that full skeleton, regularity one below
 the best value found so far (no lower degree can beat it).  Only the
@@ -39,16 +46,20 @@ lk v has homology and W - v is a cone, H~_t(Delta[W]) = H~_{t-1}(lk v),
 so best becomes the top link degree + 3 without Delta[W].  Only when
 lk v has homology and W - v is a union of generators is Delta[W] built.
 v is the vertex of W that lies in the fewest size-best faces of the
-whole complex.  The link is a _WComplex on W - v with v as its apex bit;
-its floor level is cut from the list of size-best faces through v when
-that list is the shorter one.
+whole complex.  When no size-best face through v lies inside W, the
+link's floor level (size best - 1) is empty, so the link has no faces in
+degrees >= best - 2 and W is skipped before the link is built.  Else the
+link is a _WComplex on W - v with v as its apex bit; its floor level is
+cut from the list of size-best faces through v when that list is the
+shorter one.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, count
+from functools import cache
+from itertools import combinations, compress, count
 from math import comb
 
 from .hypergraphs import BudgetError, InputError
@@ -173,40 +184,68 @@ def _gfp_boundary_pivots(faces: list[int], p: int) -> list[int]:
     return list(piv)
 
 
-def _closed_vertex_sets(gens: tuple[int, ...]) -> set[int]:
-    """All unions of generator supports (the only W with homology)."""
-    closed = {0}
-    for g in gens:
-        closed |= {m | g for m in closed}
-    closed.discard(0)
-    return closed
+@cache
+def _closure_steps(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """For each vertex v < n: without[v], and the shift steps (without[u], 2^u) of every u != v.
 
-
-_BYTE_BITS = [bytes(b >> i & 1 for i in range(8)) for b in range(256)]
-
-
-def _nonface_flags(n: int, gens: tuple[int, ...]) -> bytes:
-    """flags[m] is 1 exactly when the vertex set m contains a generator.
-
-    The table is built as one 2^n-bit integer: the bits of the generators
-    are set, then for each vertex v every marked set is copied to its
-    union with v (a superset closure in n big-integer steps), and the
-    bits are spread out to one byte per set.
+    without[v] is the 2^n-bit integer whose bit m is set when the vertex
+    set m lacks v; (x & without[u]) << 2^u adds u to every set of x.
     """
     size = 1 << n
+    without = []
+    for v in range(n):
+        step = 1 << v
+        pattern = (1 << step) - 1
+        width = 2 * step
+        while width < size:
+            pattern |= pattern << width
+            width *= 2
+        without.append(pattern)
+    steps = [(w, 1 << u) for u, w in enumerate(without)]
+    return tuple((without[v], tuple(steps[:v] + steps[v + 1:])) for v in range(n))
+
+
+_BYTE_OFFSETS = [[j for j in range(8) if b >> j & 1] for b in range(256)]
+_ASCII_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _vertex_set_tables(n: int, gens: tuple[int, ...]) -> tuple[list[int], bytes, bytes]:
+    """The closed sets in increasing order, and closed and nf flags for all 2^n vertex sets.
+
+    A set m is closed (closed[m] = 1) when it is a nonempty union of
+    generators, and a nonface (nf[m] = 1) when it contains a generator.
+    Both come from one 2^n-bit integer per vertex v: the sets that
+    contain a generator through v, the generator bits that hold v closed
+    upward in n - 1 shift steps.  m is closed exactly when every vertex
+    of m lies in a generator inside m, and a nonface when some vertex
+    does (or the empty set is a generator).
+    """
+    size = 1 << n
+    everything = (1 << size) - 1
     marked = 0
     for g in gens:
         marked |= 1 << g
-    for v in range(n):
-        step = 1 << v
-        without_v = (1 << step) - 1
-        width = 2 * step
-        while width < size:
-            without_v |= without_v << width
-            width *= 2
-        marked |= (marked & without_v) << step
-    packed = marked.to_bytes(max(size >> 3, 1), "little")
-    return b"".join(map(_BYTE_BITS.__getitem__, packed))[:size]
+    closed, nonface = everything, 0
+    for without_v, steps in _closure_steps(n):
+        up = marked & ~without_v
+        if up:
+            for without_u, shift in steps:
+                up |= (up & without_u) << shift
+            nonface |= up
+        closed &= up | without_v
+    closed &= ~1
+    if marked & 1:
+        nonface = everything
+    packed = closed.to_bytes(max(size >> 3, 1), "little")
+    sets = [
+        i << 3 | j for i in compress(range(len(packed)), packed) for j in _BYTE_OFFSETS[packed[i]]
+    ]
+    return sets, _spread(closed, size), _spread(nonface, size)
+
+
+def _spread(bits: int, size: int) -> bytes:
+    """One byte per bit of ``bits``, from bit 0 up to bit size - 1."""
+    return format(bits, f"0{size}b")[::-1].encode().translate(_ASCII_BITS)
 
 
 def _vertex_bits(W: int) -> list[int]:
@@ -321,9 +360,9 @@ def betti_table(I: SquareFreeIdeal, characteristic: int = 2) -> BettiTable:
     _check_budget(I)
     if I.is_zero() or I.is_unit():
         raise InputError("Betti table of the zero or unit ideal is not defined here")
-    nf = _nonface_flags(I.n, I.gens)
+    closed_sets, _, nf = _vertex_set_tables(I.n, I.gens)
     entries: dict[tuple[int, int], int] = {}
-    for W in sorted(_closed_vertex_sets(I.gens)):
+    for W in closed_sets:
         floor = max(_min_degree_inside(I.gens, W) - 2, -1)
         wc = _WComplex(W, nf, characteristic, floor)
         j = wc.w
@@ -349,11 +388,10 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
         return 0
     _check_budget(I)
     best = I.max_degree()
-    closed = _closed_vertex_sets(I.gens)
-    # by decreasing size, then decreasing mask: two stable sorts on C keys
-    scan = sorted(closed, reverse=True)
+    closed_sets, closed, nf = _vertex_set_tables(I.n, I.gens)
+    # by decreasing size, then decreasing mask: a reversal and a stable sort
+    scan = closed_sets[::-1]
     scan.sort(key=int.bit_count, reverse=True)
-    nf = _nonface_flags(I.n, I.gens)
     shared = None
     for W in scan:
         # A W on m vertices can beat best only through H~_t with t >= best - 1
@@ -370,10 +408,14 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
             through = {b: [f for f in shared if f & b] for b in support}
             pick = sorted(support, key=lambda b: len(through[b]))
         v = next(b for b in pick if W & b)
+        if all(map((~W).__and__, through[v])):
+            # no size-best face through v inside W: the link's floor level is
+            # empty, so it has no homology at or above best - 2
+            continue
         top = _WComplex(W ^ v, nf, characteristic, best - 2, through[v], v).top_degree()
         if top is None:
             continue
-        if W ^ v not in closed:
+        if not closed[W ^ v]:
             best = top + 3
             shared = None
             continue

@@ -60,8 +60,12 @@ def _as_power_ideal(obj, k: int) -> SquareFreeIdeal:
     if isinstance(obj, GeneralMonomialIdeal):
         if k <= 0:
             return SquareFreeIdeal(obj.n, [0])
+        power = matching_power_general(obj, k) if k > 1 else obj
+        if power.is_zero() or power.is_unit():
+            # polarizing would take the universe from exponents that are all 0
+            return SquareFreeIdeal(obj.n, [0] if power.is_unit() else [])
         # regularity of a general monomial ideal is read off its polarization
-        return polarize(matching_power_general(obj, k)) if k > 1 else polarize(obj)
+        return polarize(power)
     raise InputError(f"cannot interpret {obj!r}")
 
 

@@ -24,7 +24,7 @@ from sqfpow import (
     sqfree_power,
 )
 from sqfpow import betti
-from sqfpow.betti import _check_characteristic, _nonface_flags
+from sqfpow.betti import _check_characteristic, _vertex_set_tables
 from sqfpow.corpus import random_squarefree_ideal
 
 
@@ -146,12 +146,19 @@ class TestBettiTable:
             betti_table(SquareFreeIdeal(21))
 
     @given(st.integers(0, 9), st.lists(st.integers(0, 2**9 - 1), max_size=5))
-    def test_nonface_flags_mark_supersets(self, n, masks):
+    def test_vertex_set_tables_match_brute_force(self, n, masks):
+        # masks may be empty or nested: the tables do not need an antichain
         gens = [m & ((1 << n) - 1) for m in masks]
-        flags = _nonface_flags(n, tuple(gens))
-        assert len(flags) == 1 << n
+        closed_sets, closed, nf = _vertex_set_tables(n, tuple(gens))
+        assert len(closed) == len(nf) == 1 << n
         for m in range(1 << n):
-            assert flags[m] == any(g & m == g for g in gens)
+            inside = [g for g in gens if g & m == g]
+            union = 0
+            for g in inside:
+                union |= g
+            assert closed[m] == (m != 0 and union == m)
+            assert nf[m] == bool(inside)
+        assert closed_sets == [m for m in range(1 << n) if closed[m]]
 
     def test_csv_rows(self):
         I = SquareFreeIdeal(3, [(0, 1), (1, 2)])
@@ -265,20 +272,23 @@ class TestRegularity:
             assert reg == betti_table(I, p).regularity()
             if len(I.gens) <= 8:
                 assert reg == max(j - i for i, j in taylor_entries(I, p))
-            closed = betti._closed_vertex_sets(I.gens)
+            closed_sets, closed, _ = betti._vertex_set_tables(I.n, I.gens)
             links = [(U, v, wc) for U, _, v, wc, _ in built if v]
             fulls = [W for W, _, v, _, _ in built if not v]
             scanned = {U | v for U, v, _ in links}
             assert set(fulls) <= scanned and len(fulls) == len(set(fulls))
+            # every W above reg + 1 is scanned; one with no link built had an
+            # empty link floor level (no size-best face through v inside W)
+            empty += sum(1 for W in closed_sets if W.bit_count() > reg + 1 and W not in scanned)
             for U, v, wc in links:
+                # wc.faces[0] is the link's floor level
+                assert wc.faces
                 top = wc.top_degree()
                 if top is None:
                     # skipped: H~_t(Delta[W]) is the image of H~_t(Delta[W - v])
                     assert U | v not in fulls
-                    # wc.faces[0] is the link's floor level
-                    empty += not wc.faces
-                    acyclic_scanned += bool(wc.faces) and U in closed and U in scanned
-                elif U not in closed:
+                    acyclic_scanned += closed[U] and U in scanned
+                elif not closed[U]:
                     # Delta[W - v] is a cone: best is read off the link
                     assert U | v not in fulls
                     assert reg >= top + 3
@@ -316,6 +326,27 @@ class TestRegularity:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "10"
+
+    def test_20_variable_query_in_bounded_memory(self):
+        # the budget edge: the vertex-set tables hold 2^20 bits and bytes per
+        # set, under the same 1 GiB cap; ten disjoint edges have reg 11
+        edges = [(2 * i, 2 * i + 1) for i in range(10)]
+        child = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from sqfpow import Graph, regularity, sqfree_power\n"
+            f"I = sqfree_power(Graph(20, {edges!r}), 1)\n"
+            "print(regularity(I, 2), regularity(I, 32003))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", child],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "11 11"
 
     def test_known_edge_ideals(self, c5, k4):
         # frozen from the Taylor oracle (C5 is not weakly chordal: reg > nu1+1)

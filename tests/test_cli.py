@@ -52,6 +52,17 @@ class TestReg:
             code, out, _ = run(capsys, "gens", ideal, "--k", k)
             assert code == 0 and json.loads(out) == {"n": 2, "gens": [[]]}
 
+    def test_general_ideal_zero_or_unit_power_keeps_universe(self, capsys):
+        # a zero or unit power keeps n, as the square-free input does
+        cases = [
+            ('{"n":2,"gens_exp":[[0,0]]}', "2", {"n": 2, "gens": []}),
+            ('{"n":2,"gens_exp":[[0,0]]}', "1", {"n": 2, "gens": [[]]}),
+            ('{"n":3,"gens_exp":[[2,0,0]]}', "2", {"n": 3, "gens": []}),
+        ]
+        for ideal, k, expected in cases:
+            code, out, _ = run(capsys, "gens", ideal, "--k", k)
+            assert code == 0 and json.loads(out) == expected
+
     def test_hypergraph_json(self, capsys, tmp_path):
         path = tmp_path / "h.json"
         path.write_text('{"n":6,"edges":[[0,1,2],[3,4,5]]}')
