@@ -7,14 +7,17 @@ import pytest
 from sqfpow import (
     CampaignFailure,
     Corpus,
+    GeneralMonomialIdeal,
     Graph,
     Hypergraph,
     InputError,
+    SquareFreeIdeal,
     bundled_corpus,
     matching_number,
     pair_corpus,
     run_campaign,
 )
+from sqfpow.campaigns import CAMPAIGNS
 from sqfpow.corpus import (
     random_disjoint_edge_hypergraph,
     random_general_ideal,
@@ -133,6 +136,111 @@ class TestRunCampaign:
             "chordal-conjecture", small_graph_corpus(5), {"limit": 3, "kmax": 1}
         )
         assert len({r.instance for r in report.records}) == 3
+
+
+_C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+_P7 = Graph(7, [(i, i + 1) for i in range(6)])
+_I = SquareFreeIdeal(3, [0b011])
+MIXED = [
+    Graph(4, [(0, 1), (2, 3)]),  # disconnected
+    Graph(7, []),  # edgeless, over nmax 5
+    _C4,
+    _P7,
+    Hypergraph(4, [(0, 1, 2), (2, 3)]),  # overlapping edges
+    Hypergraph(5, [(0, 1, 2), (3, 4)]),  # disjoint edges
+    SquareFreeIdeal(3, []),  # zero
+    SquareFreeIdeal(3, [0]),  # unit
+    (_I, SquareFreeIdeal(2, [0b11])),
+    GeneralMonomialIdeal(2, [(2, 1)]),
+    GeneralMonomialIdeal(2, []),  # zero
+    (_I,),
+    (_C4, _C4, _C4),
+    None,
+    (Graph(2, [(0, 1)]), _C4),
+    (Graph(7, []), _C4),  # splitting: no-edges comes before over-nmax
+    (_C4, _P7),
+]
+SKIP_CTXS = ({}, {"nmax": 5}, {"connected": True})
+
+
+def _rows(*heads, rest=None):
+    """One reason list per ctx in SKIP_CTXS; "." is no skip, rest pads each head."""
+    out = []
+    for head in heads:
+        row = [None if t == "." else t for t in head.split()]
+        out.append(row + [rest] * (len(MIXED) - len(row)))
+    return out
+
+
+_CHORDAL = _rows(
+    ". no-edges not-chordal .",
+    ". over-nmax not-chordal over-nmax",
+    "not-connected not-connected not-chordal .",
+    rest="not-a-graph",
+)
+_HYPER = _rows(
+    ". no-edges . . . .",
+    ". over-nmax . over-nmax . .",
+    ". no-edges . . . .",
+    rest="not-a-hypergraph",
+)
+_IDEAL = " ".join(
+    ["not-a-squarefree-ideal"] * 6
+    + ["zero-or-unit"] * 2
+    + [".", "not-a-squarefree-ideal", "not-a-squarefree-ideal", "."]
+    + ["not-a-squarefree-ideal"] * 5
+)
+_GENERAL = " ".join(
+    ["not-a-monomial-ideal"] * 9 + [".", "zero-or-unit"] + ["not-a-monomial-ideal"] * 6
+)
+_PAIR = " ".join(["not-a-pair"] * 8 + ["not-a-hypergraph"] + ["not-a-pair"] * 5 + [".", "no-edges"])
+SKIP_REASONS = {
+    "chordal-conjecture": _CHORDAL,
+    "colon-weakly-chordal": _CHORDAL,
+    "block-theorem": _rows(
+        ". no-edges not-block-graph .",
+        ". over-nmax not-block-graph over-nmax",
+        "not-connected not-connected not-block-graph .",
+        rest="not-a-graph",
+    ),
+    "cm-chordal-2": _rows(
+        ". nu<2 not-cm-chordal not-cm-chordal",
+        ". over-nmax not-cm-chordal over-nmax",
+        "not-connected not-connected not-cm-chordal not-cm-chordal",
+        rest="not-a-graph",
+    ),
+    "nu1-lemmas": _rows(
+        ". partition-has-singleton not-cm-chordal not-cm-chordal",
+        ". over-nmax not-cm-chordal over-nmax",
+        "not-connected not-connected not-cm-chordal not-cm-chordal",
+        rest="not-a-graph",
+    ),
+    "aim-deletion": _rows(
+        ". . . .",
+        ". over-nmax . over-nmax",
+        "not-connected not-connected . .",
+        rest="not-a-graph",
+    ),
+    "lower-bound": _HYPER,
+    "restriction": _HYPER,
+    "ci-formula": _rows(
+        ". no-edges not-disjoint-edges not-disjoint-edges not-disjoint-edges .",
+        ". over-nmax not-disjoint-edges over-nmax not-disjoint-edges .",
+        ". no-edges not-disjoint-edges not-disjoint-edges not-disjoint-edges .",
+        rest="not-a-hypergraph",
+    ),
+    "splitting": _rows(_PAIR + " .", _PAIR + " over-nmax", _PAIR + " ."),
+    "reg-lemmas": _rows(_IDEAL, _IDEAL, _IDEAL),
+    "polarization": _rows(_GENERAL, _GENERAL, _GENERAL),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_skip_reasons_pinned(name):
+    """Every campaign's first failing gate, in order, on a mixed object list."""
+    prepare, _ = CAMPAIGNS[name]
+    for ctx, expected in zip(SKIP_CTXS, SKIP_REASONS[name]):
+        assert [prepare(obj, ctx) for obj in MIXED] == expected, ctx
 
 
 class TestDeterminismAndParallel:
