@@ -47,7 +47,6 @@ from .graphclasses import (
     is_chordal,
     is_cm_chordal,
     is_weakly_chordal,
-    lambda_ideal,
     maximal_cliques,
     special_blocks,
 )

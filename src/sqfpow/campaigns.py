@@ -1,10 +1,12 @@
 """Verification campaigns: check the regularity identities on corpora.
 
-Each campaign filters the corpus by its class predicate (skips recorded
-with a machine-readable reason), runs an exact integer check per
-(instance, k), and either aborts on the first failure with a full
-witness dump (strict campaigns; a violation means an implementation
-bug and must be loud) or collects all failures (explore mode).
+A campaign is its ordered gate rows plus a runner. A gate row is
+`(holds(obj, ctx), reason)`; the first row that does not hold names the
+skip, which the report records with that machine-readable reason. The
+runner makes an exact integer check per (instance, k) and either aborts
+on the first failure with a full witness dump (strict campaigns; a
+violation means an implementation bug and must be loud) or collects all
+failures (explore mode).
 
 A runner yields one `(k, data, ok, witness)` tuple per check, with
 `witness` None when `ok`; `_worker` builds every CampaignRecord from
@@ -458,129 +460,73 @@ def _run_polarization(I: GeneralMonomialIdeal, ctx: dict) -> Iterator[tuple]:
 # -- campaign registry ---------------------------------------------------------
 
 
-def _skip_reason_graph(obj, ctx) -> str | None:
-    if not isinstance(obj, Graph):
-        return "not-a-graph"
-    if ctx.get("nmax") is not None and obj.n > ctx["nmax"]:
-        return "over-nmax"
-    if ctx.get("connected") and not obj.is_connected():
-        return "not-connected"
-    return None
+def _gates(*rows) -> Callable:
+    """A prepare from ordered (holds(obj, ctx), reason) rows: the reason of
+    the first row that does not hold, or None when every row holds."""
+
+    def prepare(obj, ctx):
+        for holds, reason in rows:
+            if not holds(obj, ctx):
+                return reason
+        return None
+
+    return prepare
 
 
-def _prepare_equality_chordal(obj, ctx):
-    reason = _skip_reason_graph(obj, ctx)
-    if reason:
-        return reason
-    if not graphclasses.is_chordal(obj)[0]:
-        return "not-chordal"
-    if not obj.edges:
-        return "no-edges"
-    return None
+def _each(prepare: Callable) -> Callable:
+    """A prepare for a tuple (a lone object is a 1-tuple): the first
+    member's skip reason, or None."""
+
+    def each(obj, ctx):
+        for member in obj if isinstance(obj, tuple) else (obj,):
+            reason = prepare(member, ctx)
+            if reason:
+                return reason
+        return None
+
+    return each
 
 
-def _prepare_block(obj, ctx):
-    reason = _skip_reason_graph(obj, ctx)
-    if reason:
-        return reason
-    if not graphclasses.is_block_graph(obj):
-        return "not-block-graph"
-    if not obj.edges:
-        return "no-edges"
-    return None
-
-
-def _prepare_cm2(obj, ctx):
-    reason = _skip_reason_graph(obj, ctx)
-    if reason:
-        return reason
-    if graphclasses.cm_clique_partition(obj) is None:
-        return "not-cm-chordal"
-    if matching_number(obj) < 2:
-        return "nu<2"
-    return None
-
-
-def _prepare_hypergraph(obj, ctx):
-    if not isinstance(obj, Hypergraph):
-        return "not-a-hypergraph"
-    if ctx.get("nmax") is not None and obj.n > ctx["nmax"]:
-        return "over-nmax"
-    if not obj.edges:
-        return "no-edges"
-    return None
-
-
-def _prepare_ci(obj, ctx):
-    reason = _prepare_hypergraph(obj, ctx)
-    if reason:
-        return reason
-    edges = obj.edges
-    for i, a in enumerate(edges):
-        for b in edges[:i]:
-            if a & b:
-                return "not-disjoint-edges"
-    return None
-
-
-def _prepare_nu1(obj, ctx):
-    reason = _skip_reason_graph(obj, ctx)
-    if reason:
-        return reason
-    parts = graphclasses.cm_clique_partition(obj)
-    if parts is None:
-        return "not-cm-chordal"
-    if any(p.bit_count() < 2 for p in parts):
-        return "partition-has-singleton"
-    if matching_number(obj) < 2:
-        return "nu<2"
-    return None
-
-
-def _prepare_ideal(obj, ctx):
-    ideals = obj if isinstance(obj, tuple) else (obj,)
-    for ideal in ideals:
-        if not isinstance(ideal, SquareFreeIdeal):
-            return "not-a-squarefree-ideal"
-        if ideal.is_zero() or ideal.is_unit():
-            return "zero-or-unit"
-    return None
-
-
-def _prepare_general_ideal(obj, ctx):
-    if not isinstance(obj, GeneralMonomialIdeal):
-        return "not-a-monomial-ideal"
-    if obj.is_zero() or obj.is_unit():
-        return "zero-or-unit"
-    return None
-
-
-def _prepare_pair(obj, ctx):
-    if not isinstance(obj, tuple) or len(obj) != 2:
-        return "not-a-pair"
-    for H in obj:
-        if not isinstance(H, Hypergraph):
-            return "not-a-hypergraph"
-        if not H.edges:
-            return "no-edges"
-        if ctx.get("nmax") is not None and H.n > ctx["nmax"]:
-            return "over-nmax"
-    return None
-
+# Rows look their predicates up when they run, so a replaced module
+# attribute (a tracer's wrapper, a test's double) is what they call.
+_NMAX = (lambda obj, ctx: ctx.get("nmax") is None or obj.n <= ctx["nmax"], "over-nmax")
+_GRAPH = (  # the first rows of every graph campaign
+    (lambda obj, ctx: isinstance(obj, Graph), "not-a-graph"),
+    _NMAX,
+    (lambda G, ctx: not ctx.get("connected") or G.is_connected(), "not-connected"),
+)
+_HYPERGRAPH = (lambda obj, ctx: isinstance(obj, Hypergraph), "not-a-hypergraph")
+_EDGES = (lambda H, ctx: H.edges, "no-edges")
+_CHORDAL = (lambda G, ctx: graphclasses.is_chordal(G)[0], "not-chordal")
+_BLOCK = (lambda G, ctx: graphclasses.is_block_graph(G), "not-block-graph")
+_CM = (lambda G, ctx: graphclasses.cm_clique_partition(G) is not None, "not-cm-chordal")
+# a part N[v] of the CM partition is a singleton exactly when v is isolated
+_NO_SINGLETON = (lambda G, ctx: all(G.adj), "partition-has-singleton")
+_NU2 = (lambda G, ctx: matching_number(G) >= 2, "nu<2")
+# the edges are pairwise disjoint exactly when their sizes add up to |V(H)|
+_DISJOINT = (
+    lambda H, ctx: sum(e.bit_count() for e in H.edges) == H.covered().bit_count(),
+    "not-disjoint-edges",
+)
+_SQUAREFREE = (lambda I, ctx: isinstance(I, SquareFreeIdeal), "not-a-squarefree-ideal")
+_MONOMIAL = (lambda I, ctx: isinstance(I, GeneralMonomialIdeal), "not-a-monomial-ideal")
+_PROPER = (lambda I, ctx: not (I.is_zero() or I.is_unit()), "zero-or-unit")
+_pair = _gates((lambda obj, ctx: isinstance(obj, tuple) and len(obj) == 2, "not-a-pair"))
+_pair_members = _each(_gates(_HYPERGRAPH, _EDGES, _NMAX))  # no-edges before over-nmax
 
 CAMPAIGNS: dict[str, tuple[Callable, Callable]] = {
-    "chordal-conjecture": (_prepare_equality_chordal, _run_equality),
-    "block-theorem": (_prepare_block, _run_equality),
-    "cm-chordal-2": (_prepare_cm2, _run_cm2),
-    "lower-bound": (_prepare_hypergraph, _run_lower_bound),
-    "ci-formula": (_prepare_ci, _run_ci_formula),
-    "splitting": (_prepare_pair, _run_splitting),
-    "colon-weakly-chordal": (_prepare_equality_chordal, _run_colon_weakly_chordal),
-    "nu1-lemmas": (_prepare_nu1, _run_nu1_lemmas),
-    "aim-deletion": (_skip_reason_graph, _run_aim_deletion),
-    "reg-lemmas": (_prepare_ideal, _run_reg_lemmas),
-    "restriction": (_prepare_hypergraph, _run_restriction),
-    "polarization": (_prepare_general_ideal, _run_polarization),
+    "chordal-conjecture": (_gates(*_GRAPH, _CHORDAL, _EDGES), _run_equality),
+    "block-theorem": (_gates(*_GRAPH, _BLOCK, _EDGES), _run_equality),
+    "cm-chordal-2": (_gates(*_GRAPH, _CM, _NU2), _run_cm2),
+    "lower-bound": (_gates(_HYPERGRAPH, _NMAX, _EDGES), _run_lower_bound),
+    "ci-formula": (_gates(_HYPERGRAPH, _NMAX, _EDGES, _DISJOINT), _run_ci_formula),
+    "splitting": (lambda obj, ctx: _pair(obj, ctx) or _pair_members(obj, ctx), _run_splitting),
+    "colon-weakly-chordal": (_gates(*_GRAPH, _CHORDAL, _EDGES), _run_colon_weakly_chordal),
+    "nu1-lemmas": (_gates(*_GRAPH, _CM, _NO_SINGLETON, _NU2), _run_nu1_lemmas),
+    "aim-deletion": (_gates(*_GRAPH), _run_aim_deletion),
+    "reg-lemmas": (_each(_gates(_SQUAREFREE, _PROPER)), _run_reg_lemmas),
+    "restriction": (_gates(_HYPERGRAPH, _NMAX, _EDGES), _run_restriction),
+    "polarization": (_gates(_MONOMIAL, _PROPER), _run_polarization),
 }
 
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .hypergraphs import BudgetError, Graph, InputError, vertex_set, vertices_of
-from .ideals import SquareFreeIdeal
+from .hypergraphs import BudgetError, Graph, InputError, vertices_of
 
 WEAKLY_CHORDAL_MAX_VERTICES = 16
 
@@ -155,29 +154,19 @@ class BlockDecomposition:
     distant_leaf: tuple[bool, ...]
     special_type: tuple[str, ...]
 
-    def block_index(self, mask: int) -> int:
-        try:
-            return self.blocks.index(mask)
-        except ValueError:
-            raise InputError(f"{vertices_of(mask)} is not a block") from None
-
 
 def _attachment_profile(blocks: tuple[int, ...], b: int):
-    """Per vertex of block b: the other blocks attached there."""
-    mask = blocks[b]
+    """(loaded, bad): the vertices of block b where other blocks attach,
+    and those among them where a block other than a K2 attaches."""
     loaded = []
     bad = []
-    attached: dict[int, list[int]] = {}
-    for v in vertices_of(mask):
-        others = [
-            j for j, other in enumerate(blocks) if j != b and other >> v & 1
-        ]
-        attached[v] = others
+    for v in vertices_of(blocks[b]):
+        others = [other for j, other in enumerate(blocks) if j != b and other >> v & 1]
         if others:
             loaded.append(v)
-            if any(blocks[j].bit_count() != 2 for j in others):
+            if any(other.bit_count() != 2 for other in others):
                 bad.append(v)
-    return attached, loaded, bad
+    return loaded, bad
 
 
 def _special_type(d: int, loaded: list[int], bad: list[int]) -> str:
@@ -215,7 +204,7 @@ def block_decomposition(G: Graph) -> BlockDecomposition:
     )
     special = []
     for i, blk in enumerate(blocks):
-        _, loaded, bad = _attachment_profile(blocks, i)
+        loaded, bad = _attachment_profile(blocks, i)
         special.append(_special_type(blk.bit_count(), loaded, bad))
     return BlockDecomposition(blocks, cut, neighbors, leaf, distant, tuple(special))
 
@@ -266,61 +255,6 @@ def block_path(G: Graph, b1: int, b2: int) -> tuple[int, ...]:
             path.append(node)
         node = prev[node]
     return tuple(reversed(path))
-
-
-# -- special-block labelings and the pendant-K2 ideal ------------------------
-
-
-def lambda_blocks(
-    G: Graph, block_mask: int, u_last: int | None = None
-) -> tuple[int, tuple[int, ...]]:
-    """(u_last, Λ): the distinguished vertex and the pendant K2 blocks.
-
-    The labeling must be admissible: every attachment at a vertex other
-    than u_last is a K2 block.  The default u_last realizes the block's
-    reported special type (Type II: the loaded vertex, so Λ = ∅; Type
-    III: maximize |Λ|, ties to the smallest vertex).
-    """
-    dec = block_decomposition(G)
-    b = dec.block_index(block_mask)
-    typ = dec.special_type[b]
-    if typ == "none":
-        raise InputError(f"block {vertices_of(block_mask)} is not special")
-    attached, loaded, bad = _attachment_profile(dec.blocks, b)
-    verts = vertices_of(block_mask)
-    if u_last is None:
-        if typ in ("I", "II"):
-            u_last = loaded[0] if loaded else verts[0]
-        else:
-            candidates = bad if bad else list(verts)
-            u_last = min(
-                candidates,
-                key=lambda v: (sum(len(attached[u]) for u in verts if u != v) * -1, v),
-            )
-    if not block_mask >> u_last & 1:
-        raise InputError(f"u_last={u_last} is not a vertex of the block")
-    if any(v in bad for v in verts if v != u_last):
-        raise InputError(f"labeling with u_last={u_last} is not admissible")
-    lam = []
-    for v in verts:
-        if v == u_last:
-            continue
-        lam.extend(dec.blocks[j] for j in attached[v])
-    return u_last, tuple(sorted(lam))
-
-
-def lambda_ideal(
-    G: Graph, block_mask: int, S, u_last: int | None = None
-) -> SquareFreeIdeal:
-    """I_{S,B} = <xy | {x,y} = V(D) for some D in S>, S a subset of Λ."""
-    _, lam = lambda_blocks(G, block_mask, u_last)
-    masks = []
-    for d in S:
-        mask = d if isinstance(d, int) else vertex_set(d, G.n)
-        if mask not in lam:
-            raise InputError(f"{vertices_of(mask)} is not a member of Λ")
-        masks.append(mask)
-    return SquareFreeIdeal(G.n, masks)
 
 
 # -- Cohen-Macaulay chordal recognition --------------------------------------

@@ -46,9 +46,6 @@ class SquareFreeIdeal:
     def max_degree(self) -> int:
         return max((g.bit_count() for g in self.gens), default=0)
 
-    def contains_monomial(self, mask: int) -> bool:
-        return any(g & mask == g for g in self.gens)
-
     # -- arithmetic -------------------------------------------------------
 
     def colon(self, m: int) -> "SquareFreeIdeal":
@@ -94,12 +91,6 @@ class SquareFreeIdeal:
         if self.is_zero() or self.is_unit():
             raise InputError("zero/unit ideal has no associated hypergraph")
         return Hypergraph(self.n, self.gens)
-
-    def to_general(self) -> "GeneralMonomialIdeal":
-        gens = []
-        for g in self.gens:
-            gens.append(tuple(1 if g >> i & 1 else 0 for i in range(self.n)))
-        return GeneralMonomialIdeal(self.n, gens)
 
     def to_json(self) -> str:
         return json.dumps(

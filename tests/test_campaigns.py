@@ -266,11 +266,6 @@ class TestFailurePolicy:
         def broken(G, k, char, *a, **kw):
             return 99
 
-        monkeypatch.setitem(
-            camp.CAMPAIGNS,
-            "chordal-conjecture",
-            (camp.CAMPAIGNS["chordal-conjecture"][0], camp.CAMPAIGNS["chordal-conjecture"][1]),
-        )
         monkeypatch.setattr(camp, "reg_power_cached", broken)
         with pytest.raises(CampaignFailure) as info:
             run_campaign("chordal-conjecture", small_graph_corpus(4), {"kmax": 1})

@@ -20,13 +20,11 @@ from sqfpow import (
     is_chordal,
     is_cm_chordal,
     is_weakly_chordal,
-    lambda_ideal,
     maximal_cliques,
     special_blocks,
     sqfree_power,
     vertices_of,
 )
-from sqfpow.graphclasses import lambda_blocks
 from test_hypergraphs import small_graphs
 
 
@@ -277,23 +275,6 @@ class TestSpecialBlocks:
             assert special_blocks(G), f"no special block in {G!r}"
             count += 1
         assert count == 214  # block graphs (incl. disconnected) with n <= 7
-
-    def test_lambda_spec_cases(self, fig1):
-        B = (1 << 9) | (1 << 10) | (1 << 11) | (1 << 12)
-        u, lam = lambda_blocks(fig1, B)
-        assert sorted(map(vertices_of, lam)) == [(5, 9), (12, 13), (12, 14)]
-        ideal = lambda_ideal(fig1, B, lam)
-        assert ideal == SquareFreeIdeal(17, [(5, 9), (12, 13), (12, 14)])
-        assert lambda_ideal(fig1, B, []).is_zero()
-        # Type II blocks force an empty Lambda
-        assert lambda_blocks(fig1, 0b111)[1] == ()
-        with pytest.raises(InputError):
-            lambda_ideal(fig1, B, [(0, 1)])
-        # a repeated vertex must not carry into the next bit: 11+11 is not 12
-        with pytest.raises(InputError):
-            lambda_ideal(fig1, B, [(11, 11, 13)])
-        with pytest.raises(InputError):
-            lambda_ideal(fig1, B, [(12, 17)])
 
 
 class TestCmCliquePartition:

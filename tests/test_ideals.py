@@ -21,6 +21,16 @@ from sqfpow import (
 from sqfpow.corpus import parse_instance
 
 
+def _contains(I, mask):
+    """The square-free monomial mask lies in I."""
+    return any(g & mask == g for g in I.gens)
+
+
+def _as_general(I):
+    """A square-free ideal as a general monomial ideal with 0/1 exponents."""
+    return GeneralMonomialIdeal(I.n, [[g >> i & 1 for i in range(I.n)] for g in I.gens])
+
+
 @st.composite
 def small_sf_ideals(draw, max_n=6, max_gens=4):
     n = draw(st.integers(1, max_n))
@@ -98,7 +108,7 @@ class TestSquareFreeIdeal:
         assert A.intersect(B) == B.intersect(A)
         meet = A.intersect(B)
         for g in meet.gens:
-            assert A.contains_monomial(g) and B.contains_monomial(g)
+            assert _contains(A, g) and _contains(B, g)
 
 
 class TestSqfreePower:
@@ -183,10 +193,10 @@ class TestGeneralIdeals:
         assert matching_power_general(I, 2) == GeneralMonomialIdeal(2, [(2, 2)])
 
     def test_matching_power_agrees_with_sqfree(self, c5):
-        I = edge_ideal(c5).to_general()
+        I = _as_general(edge_ideal(c5))
         for k in (1, 2):
             got = matching_power_general(I, k)
-            want = sqfree_power(c5, k).to_general()
+            want = _as_general(sqfree_power(c5, k))
             assert got == want
 
     def test_matching_power_repeated_supports(self):
@@ -224,7 +234,7 @@ class TestPolarize:
 
     def test_squarefree_fixed_point(self):
         I = SquareFreeIdeal(3, [(0, 1), (1, 2)])
-        assert polarize(I.to_general()) == I
+        assert polarize(_as_general(I)) == I
 
     def test_mixed(self):
         I = GeneralMonomialIdeal(2, [(2, 1), (0, 2)])
