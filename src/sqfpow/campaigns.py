@@ -140,11 +140,15 @@ class CampaignFailure(RuntimeError):
 
 
 def reg_power_cached(H: Hypergraph, k: int, char: int) -> int:
-    """reg(I(H)^[k]) over GF(char), the regularity query of every campaign.
+    """reg(I(H)^[k]) over GF(char) for a whole corpus instance H.
 
+    This is the query of `chordal-conjecture`, `block-theorem`,
+    `cm-chordal-2`, `lower-bound`, `ci-formula` and the per-k values of
+    `restriction`.  `splitting`, `reg-lemmas`, `polarization` and the
+    sub-hypergraph queries of `restriction` call `regularity` directly.
     Nothing is cached: over isomorph-free corpora no query repeats. The
     name stays because the benchmark and the tests replace this function
-    to time or to break every campaign's regularity query.
+    to time or to break those queries.
     """
     return regularity(sqfree_power(H, k), char)
 
@@ -375,8 +379,7 @@ def _run_aim_deletion(G: Graph, ctx: dict) -> Iterator[tuple]:
 
 def _run_reg_lemmas(item, ctx: dict) -> Iterator[tuple]:
     char = ctx["char"]
-    ideals = item if isinstance(item, tuple) else (item,)
-    I = ideals[0]
+    I, *rest = item if isinstance(item, tuple) else (item,)
     reg_i = regularity(I, char)
     ok = True
     detail: dict = {"reg": reg_i}
@@ -398,8 +401,8 @@ def _run_reg_lemmas(item, ctx: dict) -> Iterator[tuple]:
             if reg_i > upper:
                 ok, detail["split_monomial"] = False, list(vertices_of(m))
                 break
-    if ok and len(ideals) == 2:
-        J = ideals[1]
+    if ok and rest:
+        (J,) = rest
         n = I.n + J.n
         big_i = SquareFreeIdeal(n, I.gens)
         big_j = SquareFreeIdeal(n, [g << I.n for g in J.gens])
@@ -441,10 +444,7 @@ def _run_polarization(I: GeneralMonomialIdeal, ctx: dict) -> Iterator[tuple]:
     kmax = 3 if ctx.get("kmax") is None else ctx["kmax"]
     for k in range(1, kmax + 1):
         lhs = polarize(matching_power_general(I, k), caps)
-        if P.is_zero() or P.is_unit():
-            rhs = lhs
-        else:
-            rhs = sqfree_power(P.hypergraph(), k)
+        rhs = sqfree_power(P.hypergraph(), k)
         ok = lhs == rhs
         data = {"gens": len(lhs.gens), "identity": ok}
         if ok and not lhs.is_zero() and not lhs.is_unit():
@@ -512,7 +512,13 @@ _SQUAREFREE = (lambda I, ctx: isinstance(I, SquareFreeIdeal), "not-a-squarefree-
 _MONOMIAL = (lambda I, ctx: isinstance(I, GeneralMonomialIdeal), "not-a-monomial-ideal")
 _PROPER = (lambda I, ctx: not (I.is_zero() or I.is_unit()), "zero-or-unit")
 _pair = _gates((lambda obj, ctx: isinstance(obj, tuple) and len(obj) == 2, "not-a-pair"))
-_pair_members = _each(_gates(_HYPERGRAPH, _EDGES, _NMAX))  # no-edges before over-nmax
+_pair_member = _gates(_HYPERGRAPH, _EDGES, _NMAX)  # no-edges before over-nmax
+_pair_members = _each(_pair_member)
+_reg_members = _each(_gates(_SQUAREFREE, _PROPER))
+# checked after the members, so a tuple's member reasons come first
+_one_or_two = _gates(
+    (lambda obj, ctx: not isinstance(obj, tuple) or 1 <= len(obj) <= 2, "not-one-or-two-ideals")
+)
 
 CAMPAIGNS: dict[str, tuple[Callable, Callable]] = {
     "chordal-conjecture": (_gates(*_GRAPH, _CHORDAL, _EDGES), _run_equality),
@@ -524,7 +530,7 @@ CAMPAIGNS: dict[str, tuple[Callable, Callable]] = {
     "colon-weakly-chordal": (_gates(*_GRAPH, _CHORDAL, _EDGES), _run_colon_weakly_chordal),
     "nu1-lemmas": (_gates(*_GRAPH, _CM, _NO_SINGLETON, _NU2), _run_nu1_lemmas),
     "aim-deletion": (_gates(*_GRAPH), _run_aim_deletion),
-    "reg-lemmas": (_each(_gates(_SQUAREFREE, _PROPER)), _run_reg_lemmas),
+    "reg-lemmas": (lambda obj, ctx: _reg_members(obj, ctx) or _one_or_two(obj, ctx), _run_reg_lemmas),
     "restriction": (_gates(_HYPERGRAPH, _NMAX, _EDGES), _run_restriction),
     "polarization": (_gates(_MONOMIAL, _PROPER), _run_polarization),
 }
@@ -591,14 +597,9 @@ def run_campaign(name: str, corpus: Corpus, params: dict | None = None) -> Campa
 
 
 def pair_corpus(corpus: Corpus, nmax: int | None = None) -> Corpus:
-    """Ordered pairs (with repetition) of corpus elements, for the splitting campaign."""
-    items = [
-        it
-        for it in corpus
-        if isinstance(it.obj, Hypergraph)
-        and it.obj.edges
-        and (nmax is None or it.obj.n <= nmax)
-    ]
+    """Ordered pairs (with repetition) of the corpus elements that pass the
+    gates of a `splitting` pair member."""
+    items = [it for it in corpus if _pair_member(it.obj, {"nmax": nmax}) is None]
     out = Corpus()
     for a in items:
         for b in items:

@@ -14,7 +14,7 @@ from pathlib import Path
 from .admissible import aim, aim_star
 from .betti import betti_table, regularity
 from .campaigns import CampaignFailure, pair_corpus, run_campaign
-from .corpus import bundled_corpus, load_corpus, parse_instance
+from .corpus import _instance_lines, bundled_corpus, load_corpus, parse_instance
 from .graphclasses import (
     block_decomposition,
     cm_clique_partition,
@@ -42,11 +42,12 @@ from .ideals import (
 
 
 def _load_instance(arg: str):
-    """The first instance line of a file, or a literal instance string."""
+    """The first instance line of a file, read by the corpus line rule, or
+    a literal instance string."""
     path = Path(arg)
     if path.exists():
-        lines = path.read_text().splitlines()
-        arg = next((ln for ln in lines if ln.strip() and not ln.startswith("#")), "")
+        with path.open() as fh:
+            arg = next((line for _, line in _instance_lines(fh)), "")
     return parse_instance(arg)
 
 

@@ -111,15 +111,21 @@ class Corpus:
         return cls(items)
 
 
-def load_corpus_lines(lines: Iterable[str], source: str) -> Corpus:
-    """Parse one instance per line ('#' comments, blanks and bare graph6 headers skipped)."""
-    items = []
+def _instance_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each instance line, lazily: blank
+    lines, '#' comments and bare graph6 headers are skipped."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#") or line == GRAPH6_HEADER:
-            continue
-        items.append(CorpusItem(f"{source}:{lineno}", parse_instance(line), (source, lineno)))
-    return Corpus(items)
+        if line and not line.startswith("#") and line != GRAPH6_HEADER:
+            yield lineno, line
+
+
+def load_corpus_lines(lines: Iterable[str], source: str) -> Corpus:
+    """Parse one instance per instance line (see `_instance_lines`)."""
+    return Corpus([
+        CorpusItem(f"{source}:{lineno}", parse_instance(line), (source, lineno))
+        for lineno, line in _instance_lines(lines)
+    ])
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -151,6 +157,8 @@ def random_hypergraph(
     max_edges: int = 6,
 ) -> Hypergraph:
     """Random simple hypergraph with mixed edge sizes; antichain enforced."""
+    if size_range[0] < 1 or n_range[0] < size_range[0]:
+        raise InputError(f"need 1 <= size_range[0] <= n_range[0], got {size_range} and {n_range}")
     n = rng.randint(*n_range)
     target = rng.randint(1, max_edges)
     edges: list[int] = []

@@ -2,8 +2,8 @@
 
 Covers chordal / weakly chordal recognition, free (simplicial) vertices,
 block decompositions with leaf / distant-leaf / special-block flags,
-block paths through the block-cut tree, Cohen-Macaulay clique
-partitions, and the colon graph of an edge.
+block paths, Cohen-Macaulay clique partitions, and the colon graph of
+an edge.
 
 One maximum cardinality search gives everything chordal: its reversed
 visit order is a perfect elimination ordering (PEO) exactly when G is
@@ -19,7 +19,9 @@ cliques each holding a free vertex can only be {N[v] : v free}
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .hypergraphs import BudgetError, Graph, InputError, vertices_of
 
@@ -148,65 +150,50 @@ class BlockDecomposition:
     """Blocks (= maximal cliques) of a block graph, with all the flags."""
 
     blocks: tuple[int, ...]
-    cut_vertices: int
-    neighbors: tuple[tuple[int, ...], ...]
     leaf: tuple[bool, ...]
     distant_leaf: tuple[bool, ...]
     special_type: tuple[str, ...]
 
 
-def _attachment_profile(blocks: tuple[int, ...], b: int):
-    """(loaded, bad): the vertices of block b where other blocks attach,
-    and those among them where a block other than a K2 attaches."""
-    loaded = []
-    bad = []
-    for v in vertices_of(blocks[b]):
-        others = [other for j, other in enumerate(blocks) if j != b and other >> v & 1]
-        if others:
-            loaded.append(v)
-            if any(other.bit_count() != 2 for other in others):
-                bad.append(v)
-    return loaded, bad
-
-
-def _special_type(d: int, loaded: list[int], bad: list[int]) -> str:
+def _special_type(d: int, loaded: int, bad: int) -> str:
+    """Type of a block of size d whose other blocks attach at the vertices
+    of `loaded`, a block other than a K2 at those of `bad`."""
     if d <= 2 and not loaded:
         return "I"
-    if d >= 3 and len(loaded) <= 1:
+    if d >= 3 and loaded.bit_count() <= 1:
         return "II"
-    if d >= 2 and loaded and len(bad) <= 1 and set(loaded) - set(bad):
+    if d >= 2 and loaded and bad.bit_count() <= 1 and loaded & ~bad:
         return "III"
     return "none"
 
 
 def block_decomposition(G: Graph) -> BlockDecomposition:
-    """Blocks with leaf / distant-leaf / special flags; rejects non-block graphs."""
+    """Blocks with leaf / distant-leaf / special flags; rejects non-block graphs.
+
+    In a block graph a vertex is free exactly when it lies in one block.
+    If v lies in one block B, then N[v] = B is a clique.  If v lies in two
+    blocks, it has a neighbour in each, and those two are not adjacent:
+    else one maximal clique would hold them and v, and share two
+    vertices with each block.  Hence the vertices where other blocks attach
+    to a block are its non-free vertices, and a leaf has at most one.
+    """
     cliques = _block_cliques(G)
     if cliques is None:
         raise InputError("not a block graph")
     blocks = tuple(cliques)
-    counts = [0] * G.n
-    for blk in blocks:
-        for v in vertices_of(blk):
-            counts[v] += 1
-    cut = sum(1 << v for v in range(G.n) if counts[v] >= 2)
-    neighbors = tuple(
-        tuple(j for j, other in enumerate(blocks) if j != i and other & blk)
-        for i, blk in enumerate(blocks)
-    )
     free = free_vertices(G)
-    leaf = tuple(
-        (blk & free).bit_count() >= blk.bit_count() - 1 for blk in blocks
-    )
+    loaded = [blk & ~free for blk in blocks]
+    leaf = tuple(m.bit_count() <= 1 for m in loaded)
+    inner = [blk for blk, lf in zip(blocks, leaf) if not lf]
     distant = tuple(
-        leaf[i] and sum(1 for j in neighbors[i] if not leaf[j]) <= 1
-        for i in range(len(blocks))
+        lf and sum(1 for other in inner if other & blk) <= 1
+        for blk, lf in zip(blocks, leaf)
     )
     special = []
-    for i, blk in enumerate(blocks):
-        loaded, bad = _attachment_profile(blocks, i)
-        special.append(_special_type(blk.bit_count(), loaded, bad))
-    return BlockDecomposition(blocks, cut, neighbors, leaf, distant, tuple(special))
+    for blk, m in zip(blocks, loaded):
+        others = reduce(or_, (b for b in blocks if b != blk and b.bit_count() != 2), 0)
+        special.append(_special_type(blk.bit_count(), m, blk & others))
+    return BlockDecomposition(blocks, leaf, distant, tuple(special))
 
 
 def special_blocks(G: Graph) -> list[tuple[int, str]]:
@@ -223,37 +210,30 @@ def block_path(G: Graph, b1: int, b2: int) -> tuple[int, ...]:
     """The unique block path between two blocks of a connected block graph.
 
     Blocks are addressed by index into block_decomposition(G).blocks.
+    The path is a shortest sequence of blocks from b1 to b2 in which
+    consecutive blocks share a vertex.  Such a sequence is the path of
+    the block-cut tree: if three consecutive blocks shared one vertex,
+    the middle one could be dropped, so the blocks and the vertices they
+    share walk the tree without turning back, and in a tree that walk is
+    the only path between its ends.
     """
-    dec = block_decomposition(G)
+    blocks = block_decomposition(G).blocks
     if b1 == b2:
         raise InputError("block path endpoints must differ")
-    nb = len(dec.blocks)
-    if not (0 <= b1 < nb and 0 <= b2 < nb):
+    if not (0 <= b1 < len(blocks) and 0 <= b2 < len(blocks)):
         raise InputError("block index out of range")
-    # block-cut tree: block nodes 0..nb-1, cut-vertex nodes nb + v
-    adj: dict[int, list[int]] = {}
-    for i, blk in enumerate(dec.blocks):
-        for v in vertices_of(blk & dec.cut_vertices):
-            adj.setdefault(i, []).append(nb + v)
-            adj.setdefault(nb + v, []).append(i)
     prev = {b1: None}
     queue = [b1]
-    while queue:
-        node = queue.pop(0)
-        if node == b2:
-            break
-        for nxt in adj.get(node, []):
-            if nxt not in prev:
-                prev[nxt] = node
-                queue.append(nxt)
+    for i in queue:  # breadth first: the list grows while it is read
+        for j, other in enumerate(blocks):
+            if j not in prev and other & blocks[i]:
+                prev[j] = i
+                queue.append(j)
     if b2 not in prev:
         raise InputError("blocks lie in different components")
-    path = []
-    node: int | None = b2
-    while node is not None:
-        if node < nb:
-            path.append(node)
-        node = prev[node]
+    path = [b2]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
     return tuple(reversed(path))
 
 

@@ -275,5 +275,40 @@ def brute_cm_partition(G):
     return found[0] if found else None
 
 
+def brute_block_flags(G):
+    """{block vertex set: (leaf, distant leaf, special type)} of a block graph.
+
+    The blocks are networkx's biconnected components, plus a singleton
+    block per isolated vertex, and a block B meets the other blocks at
+    its articulation points A.  B is a leaf when |A| <= 1, and a distant
+    leaf when it is a leaf meeting at most one block that is not a leaf.
+    With d = |B| and X the points of A that lie in a block other than a
+    K2, B's special type is the first that holds of  I: d <= 2 and A is
+    empty;  II: d >= 3 and |A| <= 1;  III: d >= 2, A is nonempty,
+    |X| <= 1 and A is not inside X;  else "none".
+    """
+    H = to_networkx(G)
+    blocks = [frozenset(c) for c in nx.biconnected_components(H)]
+    blocks += [frozenset([v]) for v in nx.isolates(H)]
+    cuts = set(nx.articulation_points(H))
+    leaf = {B: len(B & cuts) <= 1 for B in blocks}
+    flags = {}
+    for B in blocks:
+        meets = [C for C in blocks if C != B and B & C]
+        attach = B & cuts
+        big = {v for C in meets if len(C) != 2 for v in B & C}
+        if len(B) <= 2 and not attach:
+            kind = "I"
+        elif len(B) >= 3 and len(attach) <= 1:
+            kind = "II"
+        elif len(B) >= 2 and attach and len(big) <= 1 and attach - big:
+            kind = "III"
+        else:
+            kind = "none"
+        distant = leaf[B] and sum(1 for C in meets if not leaf[C]) <= 1
+        flags[B] = (leaf[B], distant, kind)
+    return flags
+
+
 def graph6_of(G):
     return nx.to_graph6_bytes(to_networkx(G), header=False).decode().strip()

@@ -115,6 +115,17 @@ class TestRunCampaign:
         report = run_campaign("reg-lemmas", Corpus.from_objects(pairs, "ideals"))
         assert report.ok and report.n_pass == 4
 
+    def test_reg_lemmas_skips_three_ideals(self):
+        trio = (_I, _I, SquareFreeIdeal(2, [0b11]))
+        prepare, _ = CAMPAIGNS["reg-lemmas"]
+        assert prepare(trio, {}) == "not-one-or-two-ideals"
+        assert prepare((), {}) == "not-one-or-two-ideals"
+        report = run_campaign("reg-lemmas", Corpus.from_objects([trio], "ideals"))
+        assert report.records == []
+        assert [(s.instance, s.reason) for s in report.skips] == [
+            ("ideals:0", "not-one-or-two-ideals")
+        ]
+
     def test_restriction(self):
         rng = random.Random(2)
         corpus = Corpus.from_objects(

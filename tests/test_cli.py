@@ -37,6 +37,14 @@ class TestReg:
         code, out, _ = run(capsys, "reg", str(path))
         assert code == 0 and out.strip() == "2"
 
+    def test_file_read_by_corpus_line_rule(self, capsys, tmp_path):
+        # a bare graph6 header and an indented comment are skipped, as --corpus does
+        for name, text in (("header.g6", ">>graph6<<\nA_\n"), ("note.g6", "  # note\nA_\n")):
+            path = tmp_path / name
+            path.write_text(text)
+            code, out, _ = run(capsys, "reg", str(path))
+            assert code == 0 and out.strip() == "2"
+
     def test_general_ideal(self, capsys, tmp_path):
         path = tmp_path / "ideal.json"
         path.write_text('{"n":1,"gens_exp":[[2]]}')

@@ -190,3 +190,12 @@ class TestGenerators:
             I = random_general_ideal(rng)
             assert not I.is_zero() and not I.is_unit()
             assert all(e <= 2 for g in I.gens for e in g)
+
+    def test_vertex_range_below_edge_size_rejected(self):
+        # n = 0 or 1 leaves no room for an edge of size 2; rejected before any draw
+        rng = random.Random(0)
+        with pytest.raises(InputError):
+            random_hypergraph(rng, n_range=(0, 5))
+        assert rng.random() == random.Random(0).random()
+        with pytest.raises(InputError):
+            random_hypergraph(random.Random(0), size_range=(0, 4))

@@ -119,6 +119,11 @@ def _bundled_graphs(name, nmax):
     return [item.obj for item in bundled_corpus(name) if item.obj.n <= nmax]
 
 
+def _block_graphs_le7():
+    """The 214 block graphs (connected or not) of the graphs_le7 catalog."""
+    return [G for G in _bundled_graphs("graphs_le7", 7) if is_block_graph(G)]
+
+
 class TestCliques:
     @given(small_graphs(max_n=8))
     @settings(max_examples=80)
@@ -184,6 +189,17 @@ class TestBlockDecomposition:
         )
         assert is_block_graph(G) == want
 
+    def test_flags_vs_networkx_oracle(self, fig1):
+        graphs = [fig1] + _block_graphs_le7()
+        assert len(graphs) == 215
+        for G in graphs:
+            dec = block_decomposition(G)
+            got = {
+                frozenset(vertices_of(b)): (dec.leaf[i], dec.distant_leaf[i], dec.special_type[i])
+                for i, b in enumerate(dec.blocks)
+            }
+            assert got == oracles.brute_block_flags(G), G
+
     def test_edges_partition_into_blocks(self, fig1):
         dec = block_decomposition(fig1)
         for e in fig1.edges:
@@ -248,19 +264,18 @@ class TestBlockPath:
             block_path(fig1, 0, 0)
 
     def test_uniqueness_exhaustive(self, fig1):
-        dec = block_decomposition(fig1)
-        nb = len(dec.blocks)
-        comp_of = {}
-        for i in range(nb):
-            for j in range(nb):
-                if i == j:
-                    continue
-                try:
-                    path = block_path(fig1, i, j)
-                except InputError:
-                    continue
-                brute = _brute_block_paths(fig1, i, j)
-                assert brute == [path] if path[0] == i else False
+        for G in [fig1] + _block_graphs_le7():
+            nb = len(block_decomposition(G).blocks)
+            for i in range(nb):
+                for j in range(nb):
+                    if i == j:
+                        continue
+                    try:
+                        path = block_path(G, i, j)
+                    except InputError:
+                        assert not _brute_block_paths(G, i, j)
+                        continue
+                    assert _brute_block_paths(G, i, j) == [path], (G, i, j)
 
 
 class TestSpecialBlocks:
