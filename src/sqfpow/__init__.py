@@ -8,7 +8,6 @@ the verification campaigns tying them together.
 
 from .admissible import (
     AdmissibleWitness,
-    ForcingPartition,
     aim,
     aim_profile,
     aim_star,

@@ -20,6 +20,10 @@ walk gives the best |M| per defect, and L(H,k) at every k comes from a
 second walk on the first lower_bound call.  `best_admissible_witness`
 keeps its own walk per k, for the first maximizer in walk order, and is
 the in-repo referee for that fold.
+
+aim* (graphs only) needs every part to induce a forest, which it reads
+off the walk's count of induced edges: the parts are all forests exactly
+when |E(G[V(M)])| = |V(M)| - c(M) (see `aim_star`).
 """
 
 from __future__ import annotations
@@ -39,14 +43,6 @@ from .hypergraphs import (
     vertices_of,
     walk_matchings,
 )
-
-
-@dataclass(frozen=True)
-class ForcingPartition:
-    """Finest partition of a matching compatible with containment condition (1)."""
-
-    matching: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -84,10 +80,11 @@ def _index_parts(H: Hypergraph, idx: tuple[int, ...], parts: tuple) -> tuple[tup
     return tuple(sorted(tuple(i for i in idx if H.edges[i] & pmask) for pmask, _ in parts))
 
 
-def forcing_components(H: Hypergraph, matching) -> ForcingPartition:
-    """Finest partition satisfying condition (1); every valid partition coarsens it."""
+def forcing_components(H: Hypergraph, matching) -> tuple[tuple[int, ...], ...]:
+    """Finest partition satisfying condition (1), as the sorted tuple of its
+    parts' sorted edge-index tuples; every valid partition coarsens it."""
     idx = check_matching(H, matching)
-    return ForcingPartition(idx, _index_parts(H, idx, _forcing_parts(H, idx)))
+    return _index_parts(H, idx, _forcing_parts(H, idx))
 
 
 def is_rigid_part(H: Hypergraph, part) -> bool:
@@ -95,7 +92,7 @@ def is_rigid_part(H: Hypergraph, part) -> bool:
     idx = check_matching(H, part)
     if not idx:
         return True
-    return rigid(H, sum(H.edges[i] for i in idx), len(idx))
+    return rigid(H, sum(H.edges[i] for i in idx), len(idx), {})
 
 
 def is_generalized_k_admissible(
@@ -154,40 +151,24 @@ def aim_profile(H: Hypergraph) -> list[int]:
 
 
 def aim_star(G: Graph, k: int) -> int:
-    """Forest-restricted variant: every part must induce a forest in G."""
+    """Forest-restricted variant: every part must induce a forest in G.
+
+    Read off the walk's count inside = |E(G[V(M)])|, with no forest test:
+    every edge of G[V(M)] lies inside one forcing part (condition (1)),
+    and each part induces a connected graph, since `forcing_step` merges
+    e only with parts that an edge through e reaches.  A connected graph
+    on p vertices has at least p - 1 edges, with equality exactly for a
+    tree.  Summed over the parts, all parts are forests iff
+    |E(G[V(M)])| = |V(M)| - c(M).
+    """
     if not isinstance(G, Graph):
         raise InputError("aim_star is defined for graphs only")
     _check_k(k, matching_number(G))
     best = 0
-    for idx, _, parts, _ in walk_matchings(G):
-        if best < len(idx) <= len(parts) + k - 1 and all(
-            _induces_forest(G, pmask) for pmask, _ in parts
-        ):
+    for idx, vmask, parts, inside in walk_matchings(G):
+        if best < len(idx) <= len(parts) + k - 1 and inside == vmask.bit_count() - len(parts):
             best = len(idx)
     return best
-
-
-def _induces_forest(G: Graph, vmask: int) -> bool:
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for v in vertices_of(vmask):
-        parent[v] = v
-    for e in G.edges:
-        if e & ~vmask:
-            continue
-        u = (e & -e).bit_length() - 1
-        v = e.bit_length() - 1
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
 
 
 def best_admissible_witness(H: Hypergraph, k: int) -> AdmissibleWitness | None:

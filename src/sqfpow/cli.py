@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
 
 from .admissible import aim, aim_star
 from .betti import betti_table, regularity
 from .campaigns import CampaignFailure, pair_corpus, run_campaign
-from .corpus import _instance_lines, bundled_corpus, load_corpus, parse_instance
+from .corpus import _instance_lines, _read_lines, bundled_corpus, load_corpus, parse_instance
 from .graphclasses import (
     block_decomposition,
     cm_clique_partition,
@@ -44,10 +44,9 @@ from .ideals import (
 def _load_instance(arg: str):
     """The first instance line of a file, read by the corpus line rule, or
     a literal instance string."""
-    path = Path(arg)
-    if path.exists():
-        with path.open() as fh:
-            arg = next((line for _, line in _instance_lines(fh)), "")
+    # os.path.exists is False, not an OSError, for a literal too long to be a file name
+    if os.path.exists(arg):
+        arg = next((line for _, line in _instance_lines(_read_lines(arg))), "")
     return parse_instance(arg)
 
 
@@ -241,7 +240,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

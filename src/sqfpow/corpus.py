@@ -128,13 +128,19 @@ def load_corpus_lines(lines: Iterable[str], source: str) -> Corpus:
     ])
 
 
+def _read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a text file, lazily; a file that cannot be read or is
+    not UTF-8 raises InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def load_corpus(path: str | Path) -> Corpus:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read corpus {path}: {exc}") from exc
-    return load_corpus_lines(text.splitlines(), str(path))
+    return load_corpus_lines(_read_lines(path), str(path))
 
 
 def bundled_corpus(name: str) -> Corpus:

@@ -286,7 +286,8 @@ def walk_matchings(H: Hypergraph) -> Iterator[tuple[tuple[int, ...], int, tuple,
     one part.  inside is |E(H[V(M)])|, counted apart from the parts: the
     edges that e adds to H[V(M + e)] are the edges near e inside V(M + e),
     and one loop over them counts them and forms the touch of
-    `forcing_step`.
+    `forcing_step`.  inside serves nu1 (`MatchingFold`) and aim*
+    (`admissible.aim_star`).
     """
     edges = H.edges
     m = len(edges)
@@ -439,14 +440,14 @@ def enumerate_matchings(edges: Sequence[int], k: int) -> Iterator[tuple[int, ...
     yield from rec(0, 0)
 
 
-def rigid(H: Hypergraph, vmask: int, size: int, memo: dict | None = None) -> bool:
-    """True iff every matching of H[vmask] of the given size covers vmask."""
-    if memo is not None and (vmask, size) in memo:
+def rigid(H: Hypergraph, vmask: int, size: int, memo: dict) -> bool:
+    """True iff every matching of H[vmask] of the given size covers vmask;
+    memo holds the answers already found for H, by (vmask, size)."""
+    if (vmask, size) in memo:
         return memo[(vmask, size)]
     inside = [e for e in H.edges if not e & ~vmask]
     ok = all(
         sum(inside[i] for i in idx) == vmask for idx in enumerate_matchings(inside, size)
     )
-    if memo is not None:
-        memo[(vmask, size)] = ok
+    memo[(vmask, size)] = ok
     return ok

@@ -13,6 +13,7 @@ from sqfpow import (
     aim,
     aim_profile,
     aim_star,
+    bundled_corpus,
     forcing_components,
     induced_matching_number,
     induced_sub,
@@ -29,17 +30,16 @@ from test_hypergraphs import small_graphs, small_hypergraphs
 
 class TestForcingComponents:
     def test_p4_merges(self, p4):
-        fp = forcing_components(p4, (0, 2))
-        assert fp.components == ((0, 2),)
+        assert forcing_components(p4, (0, 2)) == ((0, 2),)
 
     def test_two_disjoint_edges_stay_split(self):
         H = Hypergraph(4, [(0, 1), (2, 3)])
-        assert forcing_components(H, (0, 1)).components == ((0,), (1,))
+        assert forcing_components(H, (0, 1)) == ((0,), (1,))
 
     def test_k6_one_component(self):
         K6 = complete_graph(6)
         m = [i for i, e in enumerate(K6.edges) if e in (0b11, 0b1100, 0b110000)]
-        assert forcing_components(K6, m).components == (tuple(sorted(m)),)
+        assert forcing_components(K6, m) == (tuple(sorted(m)),)
 
     def test_rejects_non_matching(self, p4):
         with pytest.raises(InputError):
@@ -49,7 +49,7 @@ class TestForcingComponents:
     def test_every_valid_partition_coarsens(self, H):
         matchings = [m for m in oracles.brute_matchings(H.edges) if 0 < len(m) <= 3]
         for m in matchings[:5]:
-            comps = forcing_components(H, m).components
+            comps = forcing_components(H, m)
             label = {}
             for ci, comp in enumerate(comps):
                 for i in comp:
@@ -221,6 +221,17 @@ class TestAim:
             assert aim(G, k) == oracles.brute_aim(G.edges, k)
             assert aim_star(G, k) == oracles.brute_aim_star(G.n, G.edges, k)
 
+    def test_aim_star_against_oracle_exhaustive(self):
+        checked = 0
+        for item in bundled_corpus("graphs_le7"):
+            G = item.obj
+            if G.n > 6:
+                continue
+            for k in range(1, matching_number(G) + 1):
+                assert aim_star(G, k) == oracles.brute_aim_star(G.n, G.edges, k), (G, k)
+                checked += 1
+        assert checked == 486
+
     @given(small_hypergraphs(max_edges=5, sizes=(3, 3)))
     @settings(max_examples=40)
     def test_aim_3uniform_against_oracle(self, H):
@@ -321,7 +332,7 @@ class TestLowerBound:
             sets = oracles.masks_to_sets(H.edges)
             for m in oracles.brute_matchings(H.edges):
                 if m:
-                    parts = forcing_components(H, m).components
+                    parts = forcing_components(H, m)
                     non_rigid += not all(oracles._condition3(sets, list(p)) for p in parts)
             for k in range(1, matching_number(H) + 1):
                 witness = best_admissible_witness(H, k)

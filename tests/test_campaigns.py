@@ -134,6 +134,19 @@ class TestRunCampaign:
         report = run_campaign("restriction", corpus, {"kmax": 2})
         assert report.ok
 
+    def test_restriction_samples_subsets_above_seven_vertices(self):
+        # n > 7 draws 64 subsets, from the seed mixed with the instance name,
+        # in place of all 2^n
+        H = Hypergraph(8, [(0, 1, 2), (2, 3), (3, 4, 5), (5, 6), (6, 7), (0, 7)])
+        corpus = Corpus.from_objects([H], "n8")
+        checks = {}
+        for seed in (0, 1):
+            first, again = (run_campaign("restriction", corpus, {"seed": seed}) for _ in range(2))
+            assert first.ok and again.ok
+            assert first.jsonl_lines() == again.jsonl_lines()
+            checks[seed] = first.records[-1].data["checks"]
+        assert checks == {0: 174, 1: 165}
+
     def test_polarization(self):
         rng = random.Random(3)
         corpus = Corpus.from_objects(

@@ -87,6 +87,21 @@ class TestReg:
         code, _, err = run(capsys, "reg", "A_", "--char", "18446744073709551629")
         assert code == 2 and "2^64" in err
 
+    def test_unreadable_file_exit2(self, capsys, tmp_path):
+        # a directory, and a file that is not UTF-8
+        path = tmp_path / "latin1.g6"
+        path.write_bytes(b"\xe9\n")
+        for arg in (str(tmp_path), str(path)):
+            code, out, err = run(capsys, "reg", arg)
+            assert code == 2 and "input error" in err and out == ""
+
+    def test_literal_longer_than_a_file_name(self, capsys):
+        edges = [[2 * i, 2 * i + 1] for i in range(32)]
+        literal = json.dumps({"n": 64, "edges": edges})
+        assert len(literal) > 255
+        code, out, _ = run(capsys, "gens", literal, "--k", "1")
+        assert code == 0 and json.loads(out) == {"n": 64, "gens": edges}
+
 class TestAimGensBetti:
     def test_aim(self, capsys):
         code, out, _ = run(capsys, "aim", "Ch", "--k", "2")
@@ -183,6 +198,41 @@ class TestCampaignCommand:
     def test_missing_corpus_exit2(self, capsys):
         code, _, err = run(capsys, "campaign", "chordal-conjecture")
         assert code == 2
+
+    def test_corpus_not_utf8_exit2(self, capsys, tmp_path):
+        corpus = tmp_path / "c.g6"
+        corpus.write_bytes(b"A_\n\xff\n")
+        code, out, err = run(capsys, "campaign", "chordal-conjecture", "--corpus", str(corpus))
+        assert code == 2 and "input error" in err and out == ""
+
+    def test_out_path_not_writable_exit2(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "campaign",
+            "ci-formula",
+            "--bundled",
+            "graphs_le7",
+            "--nmax",
+            "3",
+            "--out",
+            str(tmp_path),
+        )
+        assert code == 2 and "input error" in err and out == ""
+
+    def test_splitting_runs_on_pairs(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys,
+            "campaign",
+            "splitting",
+            "--bundled",
+            "graphs_le7",
+            "--nmax",
+            "3",
+            "--out",
+            str(tmp_path / "report.jsonl"),
+        )
+        summary = json.loads(out)
+        assert code == 0 and summary["checks"] == 16 and summary["skipped"] == 0
 
     def test_bundled(self, capsys):
         code, out, _ = run(

@@ -264,6 +264,7 @@ class TestBlockPath:
             block_path(fig1, 0, 0)
 
     def test_uniqueness_exhaustive(self, fig1):
+        checked = 0
         for G in [fig1] + _block_graphs_le7():
             nb = len(block_decomposition(G).blocks)
             for i in range(nb):
@@ -276,6 +277,8 @@ class TestBlockPath:
                         assert not _brute_block_paths(G, i, j)
                         continue
                     assert _brute_block_paths(G, i, j) == [path], (G, i, j)
+                    checked += 1
+        assert checked >= 1824  # the block paths of graphs_le7 alone
 
 
 class TestSpecialBlocks:

@@ -6,7 +6,6 @@ from sqfpow import (
     Corpus,
     bundled_corpus,
     block_decomposition,
-    block_path,
     cm_clique_partition,
     edge_ideal,
     induced_matching_number,
@@ -16,8 +15,7 @@ from sqfpow import (
     special_blocks,
     sqfree_power,
 )
-from sqfpow.hypergraphs import InputError, matching_number
-from test_graphclasses import _brute_block_paths
+from sqfpow.hypergraphs import matching_number
 
 
 @pytest.fixture(scope="module")
@@ -28,28 +26,6 @@ def catalog():
 @pytest.fixture(scope="module")
 def chordal8():
     return [it.obj for it in bundled_corpus("chordal_le9") if it.obj.n == 8]
-
-
-def test_block_path_unique_exhaustively(catalog):
-    checked = 0
-    for item in catalog:
-        G = item.obj
-        if G.n > 6 or not is_block_graph(G):
-            continue
-        dec = block_decomposition(G)
-        nb = len(dec.blocks)
-        for i in range(nb):
-            for j in range(nb):
-                if i == j:
-                    continue
-                try:
-                    path = block_path(G, i, j)
-                except InputError:
-                    assert not _brute_block_paths(G, i, j)
-                    continue
-                assert _brute_block_paths(G, i, j) == [path]
-                checked += 1
-    assert checked > 300
 
 
 def test_special_block_existence_n8(chordal8):
