@@ -45,18 +45,27 @@ so a smallest W that beats best is never skipped, and W is skipped.  If
 lk v has homology and W - v is a cone, H~_t(Delta[W]) = H~_{t-1}(lk v),
 so best becomes the top link degree + 3 without Delta[W].  Only when
 lk v has homology and W - v is a union of generators is Delta[W] built.
-v is the vertex of W that lies in the fewest size-best faces of the
-whole complex.  When no size-best face through v lies inside W, the
-link's floor level (size best - 1) is empty, so the link has no faces in
-degrees >= best - 2 and W is skipped before the link is built.  Else the
-link is a _WComplex on W - v with v as its apex bit; its floor level is
-cut from the list of size-best faces through v when that list is the
-shorter one.
+
+The argument holds for every vertex u of W, so W is skipped before any
+link is built when some u lies in no size-best face inside W: the floor
+level of lk u (size best - 1) is empty, and lk u has no faces in degrees
+>= best - 2.  W is kept exactly when it is a nonempty union of size-best
+faces, the closure _vertex_set_tables computes for the generators,
+applied to the size-best faces of the whole complex.  regularity reads
+it from one byte table over the 2^n vertex sets, rebuilt when best
+changes.  The table costs n(n - 1) shift steps on 2^n-bit integers, so
+it is built only when more closed sets are left to scan than that; with
+fewer (small ideals, or a best raised late in the scan) only v is tested,
+against the size-best faces through it.  v is the vertex of W that lies
+in the fewest size-best faces of the whole complex.  Its link is a
+_WComplex on W - v with v as its apex bit; its floor level is cut from
+the list of size-best faces through v when that list is the shorter one.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, compress, count
@@ -209,33 +218,42 @@ _BYTE_OFFSETS = [[j for j in range(8) if b >> j & 1] for b in range(256)]
 _ASCII_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _vertex_set_tables(n: int, gens: tuple[int, ...]) -> tuple[list[int], bytes, bytes]:
-    """The closed sets in increasing order, and closed and nf flags for all 2^n vertex sets.
+def _unions(n: int, sets: Iterable[int]) -> tuple[int, int]:
+    """2^n-bit integers: the nonempty unions of ``sets``, and the supersets of one of them.
 
-    A set m is closed (closed[m] = 1) when it is a nonempty union of
-    generators, and a nonface (nf[m] = 1) when it contains a generator.
     Both come from one 2^n-bit integer per vertex v: the sets that
-    contain a generator through v, the generator bits that hold v closed
-    upward in n - 1 shift steps.  m is closed exactly when every vertex
-    of m lies in a generator inside m, and a nonface when some vertex
-    does (or the empty set is a generator).
+    contain a member of ``sets`` through v, the marked bits that hold v
+    closed upward in n - 1 shift steps.  m is a union exactly when every
+    vertex of m lies in a member inside m, and a superset of one when
+    some vertex does (or the empty set is a member).
     """
     size = 1 << n
+    buf = bytearray(max(size >> 3, 1))
+    for m in sets:
+        buf[m >> 3] |= 1 << (m & 7)
+    marked = int.from_bytes(buf, "little")
     everything = (1 << size) - 1
-    marked = 0
-    for g in gens:
-        marked |= 1 << g
-    closed, nonface = everything, 0
+    unions, supersets = everything, 0
     for without_v, steps in _closure_steps(n):
         up = marked & ~without_v
         if up:
             for without_u, shift in steps:
                 up |= (up & without_u) << shift
-            nonface |= up
-        closed &= up | without_v
-    closed &= ~1
+            supersets |= up
+        unions &= up | without_v
     if marked & 1:
-        nonface = everything
+        supersets = everything
+    return unions & ~1, supersets
+
+
+def _vertex_set_tables(n: int, gens: tuple[int, ...]) -> tuple[list[int], bytes, bytes]:
+    """The closed sets in increasing order, and closed and nf flags for all 2^n vertex sets.
+
+    A set m is closed (closed[m] = 1) when it is a nonempty union of
+    generators, and a nonface (nf[m] = 1) when it contains a generator.
+    """
+    size = 1 << n
+    closed, nonface = _unions(n, gens)
     packed = closed.to_bytes(max(size >> 3, 1), "little")
     sets = [
         i << 3 | j for i in compress(range(len(packed)), packed) for j in _BYTE_OFFSETS[packed[i]]
@@ -392,8 +410,8 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
     # by decreasing size, then decreasing mask: a reversal and a stable sort
     scan = closed_sets[::-1]
     scan.sort(key=int.bit_count, reverse=True)
-    shared = None
-    for W in scan:
+    shared = covered = None
+    for i, W in enumerate(scan):
         # A W on m vertices can beat best only through H~_t with t >= best - 1
         # and t <= m - 2, since W is a nonface.  For m = best + 1 that leaves
         # H~_{m-2}, which is nonzero only when every proper subset of W is a
@@ -407,10 +425,19 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
             shared = _face_level(support, best, nf)
             through = {b: [f for f in shared if f & b] for b in support}
             pick = sorted(support, key=lambda b: len(through[b]))
+            # the union table costs n(n - 1) shift steps on 2^n bits; build
+            # it only when more closed sets than that are left to test
+            covered = (
+                _spread(_unions(I.n, shared)[0], 1 << I.n)
+                if len(scan) - i > I.n * (I.n - 1) else None
+            )
+        # skip W when some vertex of W (with no table: v) lies in no size-best
+        # face inside W; that vertex's link has an empty floor level, so no
+        # homology at or above best - 2
+        if covered is not None and not covered[W]:
+            continue
         v = next(b for b in pick if W & b)
-        if all(map((~W).__and__, through[v])):
-            # no size-best face through v inside W: the link's floor level is
-            # empty, so it has no homology at or above best - 2
+        if covered is None and all(map((~W).__and__, through[v])):
             continue
         top = _WComplex(W ^ v, nf, characteristic, best - 2, through[v], v).top_degree()
         if top is None:

@@ -180,10 +180,12 @@ def _k_values(nu: int, kmax) -> list[int]:
 
 
 def _run_equality(G: Graph, ctx: dict, ks=None) -> Iterator[tuple]:
-    """reg(I(G)^[k]) = aim(G,k) + k at each k of ks (default: 1..nu, capped by kmax)."""
+    """reg(I(G)^[k]) = aim(G,k) + k at each k of 1..nu capped by kmax (and in ks, if given)."""
     char = ctx["char"]
     prof = aim_profile(G)
-    for k in _k_values(len(prof), ctx.get("kmax")) if ks is None else ks:
+    for k in _k_values(len(prof), ctx.get("kmax")):
+        if ks is not None and k not in ks:
+            continue
         reg = reg_power_cached(G, k, char)
         a = prof[k - 1]
         ok = reg == a + k
@@ -510,7 +512,7 @@ _one_or_two = _gates(
 CAMPAIGNS: dict[str, tuple[Callable, Callable]] = {
     "chordal-conjecture": (_gates(*_GRAPH, _CHORDAL, _EDGES), _run_equality),
     "block-theorem": (_gates(*_GRAPH, _BLOCK, _EDGES), _run_equality),
-    # k = 2 only, whatever --kmax says
+    # k = 2 only, and none under --kmax 1
     "cm-chordal-2": (_gates(*_GRAPH, _CM, _NU2), lambda G, ctx: _run_equality(G, ctx, (2,))),
     "lower-bound": (_gates(_HYPERGRAPH, _NMAX, _EDGES), _run_lower_bound),
     "ci-formula": (_gates(_HYPERGRAPH, _NMAX, _EDGES, _DISJOINT), _run_ci_formula),

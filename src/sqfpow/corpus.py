@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -13,6 +15,16 @@ from .hypergraphs import MAX_VERTICES, Graph, Hypergraph, InputError
 from .ideals import GeneralMonomialIdeal, SquareFreeIdeal, edge_ideal
 
 GRAPH6_HEADER = ">>graph6<<"
+
+
+# each graph6 character's six bits, high bit first, as bytes 0 and 1
+_G6_BITS = {chr(63 + b): bytes(b >> shift & 1 for shift in range(5, -1, -1)) for b in range(64)}
+
+
+@cache
+def _pair_masks(n: int) -> tuple[int, ...]:
+    """The vertex pairs i < j of n vertices as masks, in graph6 order (j, then i)."""
+    return tuple(1 << i | 1 << j for j in range(1, n) for i in range(j))
 
 
 def parse_graph6(line: str) -> Graph:
@@ -23,39 +35,32 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise InputError("empty graph6 line")
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
-        raise InputError(f"graph6 byte out of range in {s!r}")
-    if data[0] == 63:
-        if len(data) < 4:
+    try:
+        bits = b"".join([_G6_BITS[c] for c in s])
+    except KeyError:
+        raise InputError(f"graph6 byte out of range in {s!r}") from None
+    if s[0] == "~":
+        if len(s) < 4:
             raise InputError(f"truncated graph6 size header in {s!r}")
-        if data[1] == 63:
+        if s[1] == "~":
             raise InputError("graph6 graphs beyond 258047 vertices not supported")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+        a, b, c = (ord(ch) - 63 for ch in s[1:4])
+        n = a << 12 | b << 6 | c
+        head = 4
     else:
-        n = data[0]
-        body = data[1:]
+        n = ord(s[0]) - 63
+        head = 1
     if n > MAX_VERTICES:
         raise InputError(f"graph6 vertex count {n} exceeds {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
-    if len(body) != (nbits + 5) // 6:
+    if len(s) - head != (nbits + 5) // 6:
         raise InputError(
-            f"graph6 body length {len(body)} wrong for n={n} in {s!r}"
+            f"graph6 body length {len(s) - head} wrong for n={n} in {s!r}"
         )
-    bits = []
-    for b in body:
-        bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))
+    bits = bits[6 * head:]
     if any(bits[nbits:]):
         raise InputError(f"graph6 padding bits not zero in {s!r}")
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((1 << i) | (1 << j))
-            pos += 1
-    return Graph(n, edges)
+    return Graph(n, list(compress(_pair_masks(n), bits)))
 
 
 def parse_instance(line: str) -> Hypergraph | SquareFreeIdeal | GeneralMonomialIdeal:

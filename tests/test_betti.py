@@ -14,6 +14,7 @@ from conftest import cycle_graph
 from sqfpow import (
     BudgetError,
     Graph,
+    Hypergraph,
     InputError,
     SquareFreeIdeal,
     aim,
@@ -160,6 +161,19 @@ class TestBettiTable:
             assert nf[m] == bool(inside)
         assert closed_sets == [m for m in range(1 << n) if closed[m]]
 
+    @given(st.integers(0, 8), st.lists(st.integers(0, 2**8 - 1), max_size=12))
+    def test_union_table_matches_brute_force(self, n, masks):
+        # regularity's table of the unions of the size-best faces
+        faces = [m & ((1 << n) - 1) for m in masks]
+        table = betti._spread(betti._unions(n, faces)[0], 1 << n)
+        assert len(table) == 1 << n
+        for m in range(1 << n):
+            union = 0
+            for f in faces:
+                if f & m == f:
+                    union |= f
+            assert table[m] == (m != 0 and union == m)
+
     def test_csv_rows(self):
         I = SquareFreeIdeal(3, [(0, 1), (1, 2)])
         assert betti_table(I).csv_rows() == ["0,2,2", "1,3,1"]
@@ -252,6 +266,46 @@ class TestRegularity:
                 cuts += sum(1 for _, _, apex, wc, cut in built if apex and cut and wc.faces)
         assert cuts > 0
 
+    @pytest.mark.parametrize("p", [2, 32003])
+    def test_union_table_built_only_past_its_gate(self, p):
+        # the table of unions of size-best faces costs n(n - 1) shift steps;
+        # regularity builds it only when more closed sets are left to scan
+        def spy_unions(mp):
+            calls = []
+            real = betti._unions
+
+            def spy(n, sets):
+                calls.append(n)
+                return real(n, sets)
+
+            mp.setattr(betti, "_unions", spy)
+            return calls
+
+        # a 3-uniform probe on 7 vertices has 27 closed sets, fewer than its
+        # 42 shift steps: only the generator tables are built, and the
+        # picked vertex alone is tested
+        H = Hypergraph(7, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 3, 6), (1, 4, 6), (0, 2, 5)])
+        I = sqfree_power(H, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_unions(mp)
+            built = _spy_complexes(mp)
+            reg = regularity(I, p)
+        assert calls == [7] and built
+        assert reg == betti_table(I, p).regularity()
+        rng = random.Random(p)
+        tables = 0
+        for n in (10, 11, 12):
+            G = _random_graph(rng, n, 0.3)
+            for k in (2, 3):
+                I = sqfree_power(G, k)
+                with pytest.MonkeyPatch.context() as mp:
+                    calls = spy_unions(mp)
+                    reg = regularity(I, p)
+                assert reg == betti_table(I, p).regularity()
+                assert calls[0] == n and set(calls) == {n}
+                tables += len(calls) - 1
+        assert tables >= 6
+
     @pytest.mark.parametrize("p", [2, 3, 32003])
     def test_every_branch_of_the_link_test(self, p):
         # regularity ranks the link of one vertex v of W before Delta[W]; each
@@ -277,8 +331,9 @@ class TestRegularity:
             fulls = [W for W, _, v, _, _ in built if not v]
             scanned = {U | v for U, v, _ in links}
             assert set(fulls) <= scanned and len(fulls) == len(set(fulls))
-            # every W above reg + 1 is scanned; one with no link built had an
-            # empty link floor level (no size-best face through v inside W)
+            # every W above reg + 1 is scanned; one with no link built has a
+            # vertex (v, or any vertex once the union table is built) in no
+            # size-best face inside W, so that vertex's link floor level is empty
             empty += sum(1 for W in closed_sets if W.bit_count() > reg + 1 and W not in scanned)
             for U, v, wc in links:
                 # wc.faces[0] is the link's floor level

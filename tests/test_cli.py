@@ -177,6 +177,22 @@ class TestCampaignCommand:
         assert out_path.exists()
         assert (tmp_path / "report.csv").exists()
 
+    def test_cm_chordal_2_honours_kmax(self, capsys, tmp_path):
+        # the campaign checks k = 2 only: --kmax 1 leaves it no checks
+        counts = {}
+        for kmax in (None, 1, 2):
+            out_path = tmp_path / f"report-{kmax}.jsonl"
+            cap = [] if kmax is None else ["--kmax", str(kmax)]
+            code, out, _ = run(
+                capsys, "campaign", "cm-chordal-2", "--bundled", "connected_le7",
+                "--nmax", "5", "--out", str(out_path), *cap,
+            )
+            assert code == 0
+            records = [json.loads(line) for line in out_path.read_text().splitlines()]
+            assert {r["k"] for r in records if "k" in r} <= {2}
+            counts[kmax] = json.loads(out)["checks"]
+        assert counts[None] == counts[2] > 0 and counts[1] == 0
+
     def test_ideal_campaigns_from_jsonl(self, capsys, tmp_path):
         corpus = tmp_path / "ideals.jsonl"
         corpus.write_text(

@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 
 import networkx as nx
 import pytest
@@ -41,20 +42,25 @@ class TestGraph6:
         assert parse_graph6(">>graph6<<A_") == Graph(2, [(0, 1)])
 
     def test_bad_byte(self):
-        with pytest.raises(InputError):
-            parse_graph6("A\x20")
+        # a byte outside 63..126 in the size byte, the long size header or
+        # the body
+        for line in (">A", "~\x7f??", "A>"):
+            with pytest.raises(InputError, match="out of range"):
+                parse_graph6(line)
 
     def test_truncated(self):
-        with pytest.raises(InputError):
-            parse_graph6("C")
+        # "A\x20" loses its space to strip() and its one body byte with it
+        for line in ("C", "A\x20"):
+            with pytest.raises(InputError, match="body length"):
+                parse_graph6(line)
 
     def test_too_long(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="body length"):
             parse_graph6("A__")
 
     def test_nonzero_padding(self):
         # n=2 needs one bit; the other five padding bits must be zero
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="padding"):
             parse_graph6("A" + chr(63 + 0b010001))
 
     def test_large_n_form(self):
@@ -66,8 +72,31 @@ class TestGraph6:
     def test_oversized_rejected(self):
         G = nx.empty_graph(70)
         line = nx.to_graph6_bytes(G, header=False).decode().strip()
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="exceeds"):
             parse_graph6(line)
+
+    def test_empty_line(self):
+        with pytest.raises(InputError, match="empty"):
+            parse_graph6(">>graph6<<\n")
+
+    def test_truncated_size_header(self):
+        with pytest.raises(InputError, match="truncated"):
+            parse_graph6("~??")
+
+    def test_beyond_258047_vertices(self):
+        with pytest.raises(InputError, match="258047"):
+            parse_graph6("~~" + "?" * 6)
+
+    def test_bundled_lines_match_networkx(self):
+        # every 40th line of each shipped catalog decodes to networkx's graph
+        for name in ("graphs_le7", "connected_le7", "chordal_le9"):
+            lines = (resources.files("sqfpow") / "corpora" / f"{name}.g6").read_text().split()
+            for line in lines[::40]:
+                G = parse_graph6(line)
+                ref = nx.from_graph6_bytes(line.encode())
+                assert G.n == ref.number_of_nodes()
+                mine = oracles.to_networkx(G)
+                assert {tuple(sorted(e)) for e in mine.edges} == {tuple(sorted(e)) for e in ref.edges}
 
     @given(small_graphs(max_n=9))
     @settings(max_examples=120)
