@@ -54,11 +54,22 @@ faces, the closure _vertex_set_tables computes for the generators,
 applied to the size-best faces of the whole complex.  regularity reads
 it from one byte table over the 2^n vertex sets, rebuilt when best
 changes.  The table costs n(n - 1) shift steps on 2^n-bit integers, so
-it is built only when more closed sets are left to scan than that; with
-fewer (small ideals, or a best raised late in the scan) only v is tested,
-against the size-best faces through it.  v is the vertex of W that lies
-in the fewest size-best faces of the whole complex.  Its link is a
-_WComplex on W - v with v as its apex bit; its floor level is cut from
+it is built only when more closed sets are left to scan than that.
+
+v is the vertex of W that lies in the fewest size-best faces of the
+whole complex, and W is skipped with no link built when lk v has a cone
+point on its floor level: a vertex u of W - v such that F + u is a face
+of lk v for every floor face F (size best - 1) that lacks u.  Every minimal
+nonface of lk v is g - v for a generator g inside W, so it has at most
+best vertices.  If a face G of lk v with at least best - 1 vertices
+lacked u and G + u were a nonface, G would hold the part N - u of a
+minimal nonface N through u, and a floor face F with N - u inside F
+inside G; then F + u would contain N, against the rule.  So every
+maximal face of size >= best - 1 contains u: the faces of those sizes
+generate a cone over u, with the same H~_t as lk v for t >= best - 2,
+at every characteristic.  An empty floor level is the vacuous case, in
+which every u is a cone point.  Only a link with no cone point is built:
+a _WComplex on W - v with v as its apex bit, its floor level cut from
 the list of size-best faces through v when that list is the shorter one.
 """
 
@@ -361,6 +372,30 @@ class _WComplex:
         return None
 
 
+def _cone_points(W: int, v: int, faces: list[int], nf: bytes) -> int:
+    """The vertices u of W - v with f | u a face for every f in ``faces`` inside W.
+
+    ``faces`` are faces through v of one size; those inside W, v removed,
+    are the floor level of lk v in Delta[W].  Each u returned is a cone
+    point of the link's faces from that level up, so the link has no
+    homology in the floor's degree or above (see the module docstring).
+    """
+    points = W ^ v
+    outside = ~W
+    for f in faces:
+        if f & outside:
+            continue
+        m = points & ~f
+        while m:
+            b = m & -m
+            if nf[f | b]:
+                points ^= b
+            m ^= b
+        if not points:
+            return 0
+    return points
+
+
 def _check_budget(I: SquareFreeIdeal) -> None:
     if I.n > BETTI_MAX_VARS:
         raise BudgetError(
@@ -431,13 +466,12 @@ def regularity(I: SquareFreeIdeal, characteristic: int = 2) -> int:
                 _spread(_unions(I.n, shared)[0], 1 << I.n)
                 if len(scan) - i > I.n * (I.n - 1) else None
             )
-        # skip W when some vertex of W (with no table: v) lies in no size-best
-        # face inside W; that vertex's link has an empty floor level, so no
-        # homology at or above best - 2
+        # skip W when some vertex of W lies in no size-best face inside W (that
+        # vertex's link has an empty floor level), or when lk v has a cone point
         if covered is not None and not covered[W]:
             continue
         v = next(b for b in pick if W & b)
-        if covered is None and all(map((~W).__and__, through[v])):
+        if _cone_points(W, v, through[v], nf):
             continue
         top = _WComplex(W ^ v, nf, characteristic, best - 2, through[v], v).top_degree()
         if top is None:

@@ -76,16 +76,28 @@ def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
 
     Distinct masks of one degree never contain each other, so masks of one
     degree need no test, and otherwise each mask is tested only against the
-    kept masks of strictly lower degree.
+    kept masks of strictly lower degree: a mask of degree d by looking its
+    2^d - 1 proper nonempty submasks up in a set of them when there are
+    more kept masks than 2^d, and by a scan of the kept masks otherwise.
+    (A kept empty mask is the only one kept, so it needs no lookup.)
     """
     uniq = sorted(set(masks))
     uniq.sort(key=int.bit_count)
     if not uniq or uniq[0].bit_count() == uniq[-1].bit_count():
         return tuple(uniq)
     kept: list[int] = []
-    for _, same_degree in groupby(uniq, key=int.bit_count):
-        # the list is built before it extends kept, so only lower degrees are tested
-        kept += [m for m in same_degree if not any(g & m == g for g in kept)]
+    for degree, same_degree in groupby(uniq, key=int.bit_count):
+        if 1 << degree < len(kept):
+            below = set(kept)
+            for m in same_degree:
+                s = (m - 1) & m
+                while s and s not in below:
+                    s = (s - 1) & m
+                if not s:
+                    kept.append(m)
+        else:
+            # the list is built before it extends kept, so only lower degrees are tested
+            kept += [m for m in same_degree if not any(g & m == g for g in kept)]
     return tuple(kept)
 
 

@@ -60,6 +60,31 @@ def _spy_complexes(mp):
     return built
 
 
+def _spy_cones(mp):
+    """Records (W, v, points) of every cone test regularity makes: each W
+    that reaches the link test, its picked vertex v and the cone points found."""
+    tested = []
+    real = betti._cone_points
+
+    def spy(W, v, faces, nf):
+        points = real(W, v, faces, nf)
+        tested.append((W, v, points))
+        return points
+
+    mp.setattr(betti, "_cone_points", spy)
+    return tested
+
+
+def _block_path(sizes):
+    """The block graph whose blocks, cliques of these sizes, are chained in a path."""
+    edges, start = [], 0
+    for size in sizes:
+        block = range(start, start + size)
+        edges += [(u, v) for u in block for v in block if u < v]
+        start += size - 1
+    return Graph(start + 1, edges)
+
+
 def taylor_entries(I, p):
     vectors = [
         tuple(1 if g >> i & 1 else 0 for i in range(I.n)) for g in I.gens
@@ -242,11 +267,13 @@ class TestRegularity:
             for p in (2, 32003):
                 with pytest.MonkeyPatch.context() as mp:
                     built = _spy_complexes(mp)
+                    tested = _spy_cones(mp)
                     reg = regularity(I, p)
                 # a link has one vertex and one floor level fewer than its W
                 assert all(W.bit_count() > floor + 2 for W, floor, *_ in built)
                 assert reg == betti_table(I, p).regularity()
-                scanned += sum(1 for _, _, apex, _, _ in built if apex)
+                # every W that reaches the link test counts, coned or built
+                scanned += len(tested)
         assert scanned > 100
 
     @pytest.mark.parametrize("p", [2, 32003])
@@ -282,8 +309,8 @@ class TestRegularity:
             return calls
 
         # a 3-uniform probe on 7 vertices has 27 closed sets, fewer than its
-        # 42 shift steps: only the generator tables are built, and the
-        # picked vertex alone is tested
+        # 42 shift steps: only the generator tables are built, and only the
+        # link of the picked vertex is tested
         H = Hypergraph(7, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 3, 6), (1, 4, 6), (0, 2, 5)])
         I = sqfree_power(H, 1)
         with pytest.MonkeyPatch.context() as mp:
@@ -316,12 +343,13 @@ class TestRegularity:
             G = _random_graph(rng, n, 0.35)
             ideals += [sqfree_power(G, k) for k in (1, 2, 3)]
         assert any(g.bit_count() == 1 for I in ideals for g in I.gens)
-        empty = acyclic_scanned = cone = full = 0
+        empty = coned = acyclic_scanned = cone = full = 0
         for I in ideals:
             if I.is_zero() or I.is_unit():
                 continue
             with pytest.MonkeyPatch.context() as mp:
                 built = _spy_complexes(mp)
+                tested = _spy_cones(mp)
                 reg = regularity(I, p)
             assert reg == betti_table(I, p).regularity()
             if len(I.gens) <= 8:
@@ -331,10 +359,16 @@ class TestRegularity:
             fulls = [W for W, _, v, _, _ in built if not v]
             scanned = {U | v for U, v, _ in links}
             assert set(fulls) <= scanned and len(fulls) == len(set(fulls))
-            # every W above reg + 1 is scanned; one with no link built has a
-            # vertex (v, or any vertex once the union table is built) in no
-            # size-best face inside W, so that vertex's link floor level is empty
-            empty += sum(1 for W in closed_sets if W.bit_count() > reg + 1 and W not in scanned)
+            # every W above reg + 1 is scanned.  One that never reaches the
+            # link test has a vertex in no size-best face inside W (read from
+            # the union table), so that vertex's link floor level is empty;
+            # one that reaches it has lk v built exactly when lk v has no cone
+            # point on its floor level (an empty floor level is a cone)
+            reached = {W for W, _, _ in tested}
+            assert len(reached) == len(tested)
+            assert scanned == {W for W, _, points in tested if not points}
+            empty += sum(1 for W in closed_sets if W.bit_count() > reg + 1 and W not in reached)
+            coned += sum(1 for _, _, points in tested if points)
             for U, v, wc in links:
                 # wc.faces[0] is the link's floor level
                 assert wc.faces
@@ -351,25 +385,66 @@ class TestRegularity:
                 else:
                     assert U | v in fulls
             full += len(fulls)
-        assert empty and acyclic_scanned and cone and full
+        assert empty and coned and acyclic_scanned and cone and full
+
+    @given(
+        st.integers(1, 8),
+        st.lists(st.integers(1, 2**8 - 1), min_size=1, max_size=6),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cone_points_are_exact(self, n, masks, extra):
+        # for any best at or above the top generator degree, the cone test
+        # finds exactly the u of W - v that lie in every maximal listed face
+        # of lk v (its faces of size >= best - 1), and when it finds one the
+        # link has no homology in degrees >= best - 2 at any characteristic
+        I = SquareFreeIdeal(n, [m & ((1 << n) - 1) for m in masks])
+        if I.is_zero() or I.is_unit():
+            return
+        best = I.max_degree() + extra
+        closed_sets, _, nf = _vertex_set_tables(n, I.gens)
+        faces = betti._face_level(betti._vertex_bits((1 << n) - 1), best, nf)
+        for W in closed_sets:
+            for v in betti._vertex_bits(W):
+                points = betti._cone_points(W, v, [f for f in faces if f & v], nf)
+                link = betti._WComplex(W ^ v, nf, 2, best - 2, None, v)
+                listed = [f for level in link.faces for f in level]
+                maximal = [f for f in listed if not any(f != g and f & g == f for g in listed)]
+                brute = sum(u for u in betti._vertex_bits(W ^ v) if all(u & f for f in maximal))
+                assert points == brute
+                if points:
+                    for p in (2, 3, 32003):
+                        assert betti._WComplex(W ^ v, nf, p, best - 2, None, v).top_degree() is None
+
+    @pytest.mark.parametrize("p", [2, 32003])
+    def test_cone_skip_runs(self, p):
+        # the cone test must skip links on homology-size block graphs and on
+        # a 7-vertex 3-uniform probe; the answers stay the theorem's aim + k
+        # and the table's regularity
+        G = _block_path([3, 3, 3, 3, 2, 2, 2, 2, 2])
+        probe = Hypergraph(7, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 3, 6), (1, 4, 6), (0, 2, 5)])
+        for H, k, expected in [
+            (G, 2, aim(G, 2) + 2),
+            (G, 3, aim(G, 3) + 3),
+            (probe, 1, betti_table(sqfree_power(probe, 1), p).regularity()),
+        ]:
+            with pytest.MonkeyPatch.context() as mp:
+                tested = _spy_cones(mp)
+                reg = regularity(sqfree_power(H, k), p)
+            assert reg == expected
+            assert any(points for _, _, points in tested)
 
     def test_18_vertex_query_in_bounded_memory(self):
         # reg(I(G)^[3]) at 32003 for an 18-vertex block graph (five triangles
         # and seven edges chained in a path), in a child process whose address
         # space is capped at 1 GiB; a dense boundary matrix here passes 1 GiB
-        sizes = [3, 3, 2, 2, 2, 3, 2, 3, 2, 2, 3, 2]
-        edges, start = [], 0
-        for size in sizes:
-            block = range(start, start + size)
-            edges += [(u, v) for u in block for v in block if u < v]
-            start += size - 1
-        G = Graph(start + 1, edges)
+        G = _block_path([3, 3, 2, 2, 2, 3, 2, 3, 2, 2, 3, 2])
         assert G.n == 18 and aim(G, 3) + 3 == 10
         child = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from sqfpow import Graph, regularity, sqfree_power\n"
-            f"G = Graph(18, {edges!r})\n"
+            f"G = Graph(18, {list(G.edges)!r})\n"
             "print(regularity(sqfree_power(G, 3), 32003))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")

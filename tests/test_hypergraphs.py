@@ -1,8 +1,9 @@
 import json
+from itertools import combinations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -21,7 +22,7 @@ from sqfpow import (
     vertices_of,
 )
 from sqfpow.corpus import parse_instance
-from sqfpow.hypergraphs import check_matching, walk_matchings
+from sqfpow.hypergraphs import check_matching, minimal_masks, walk_matchings
 
 
 @st.composite
@@ -233,6 +234,19 @@ class TestEnumerateMatchings:
         assert list(enumerate_matchings(edges, 1)) == [(0,), (1,), (2,), (3,)]
         assert list(enumerate_matchings(edges, 2)) == [(0, 2), (1, 2)]
         assert list(enumerate_matchings(edges, 3)) == []
+
+
+class TestMinimalMasks:
+    # many masks of low degree, so that the kept masks outnumber the 2^d
+    # submasks of a mask of degree d and those are looked up in a set; the
+    # example keeps all 28 pairs of 8 vertices, then looks up every triple
+    @given(st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=5), max_size=60))
+    @example([set(c) for d in (2, 3, 4) for c in combinations(range(8), d)])
+    @settings(max_examples=200)
+    def test_against_brute_force(self, sets):
+        masks = [sum(1 << v for v in s) for s in sets]
+        minimal = {m for m in masks if not any(g != m and g & m == g for g in masks)}
+        assert minimal_masks(masks) == tuple(sorted(minimal, key=lambda m: (m.bit_count(), m)))
 
 
 class TestWalkMatchings:
