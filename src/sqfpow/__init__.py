@@ -38,16 +38,13 @@ from .corpus import (
 from .graphclasses import (
     BlockDecomposition,
     block_decomposition,
-    block_path,
     cm_clique_partition,
     colon_graph,
     free_vertices,
     is_block_graph,
     is_chordal,
-    is_cm_chordal,
     is_weakly_chordal,
     maximal_cliques,
-    special_blocks,
 )
 from .hypergraphs import (
     BudgetError,

@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 from . import graphclasses
 from .admissible import aim_profile, best_admissible_witness, lower_bound
 from .betti import _check_characteristic, betti_splitting_check, betti_table, regularity
-from .corpus import Corpus
+from .corpus import Corpus, CorpusItem
 from .hypergraphs import (
     Graph,
     Hypergraph,
@@ -415,7 +415,7 @@ def _run_restriction(H: Hypergraph, ctx: dict) -> Iterator[tuple]:
     regs = {k: reg_power_cached(H, k, char) for k in ks}
     checked = 0
     for w in subsets:
-        sub = induced_sub(H, w).hypergraph
+        sub = induced_sub(H, w)
         for k in ks:
             checked += 1
             sub_reg = regularity(sqfree_power(sub, k), char)
@@ -554,8 +554,9 @@ def run_campaign(name: str, corpus: Corpus, params: dict | None = None) -> Campa
         "explore": False,
     }
     ctx.update(params or {})
-    if ctx["kmax"] is not None and ctx["kmax"] < 1:
-        raise InputError(f"kmax must be at least 1, got {ctx['kmax']}")
+    for key in ("kmax", "limit", "jobs"):
+        if ctx.get(key) is not None and ctx[key] < 1:
+            raise InputError(f"{key} must be at least 1, got {ctx[key]}")
     _check_characteristic(ctx["char"])
     prepare, _ = CAMPAIGNS[name]
     report = CampaignReport(name, dict(ctx))
@@ -576,7 +577,7 @@ def run_campaign(name: str, corpus: Corpus, params: dict | None = None) -> Campa
                 if not record.ok and not ctx["explore"]:
                     raise CampaignFailure(name, record, report)
 
-    jobs = int(ctx["jobs"] or 1)
+    jobs = int(ctx["jobs"])
     if jobs > 1 and len(tasks) > 1:
         # leaving the with block on a failure terminates the pool's workers
         with get_context("fork").Pool(jobs) as pool:
@@ -590,14 +591,6 @@ def pair_corpus(corpus: Corpus, nmax: int | None = None) -> Corpus:
     """Ordered pairs (with repetition) of the corpus elements that pass the
     gates of a `splitting` pair member."""
     items = [it for it in corpus if _pair_member(it.obj, {"nmax": nmax}) is None]
-    out = Corpus()
-    for a in items:
-        for b in items:
-            out.items.append(
-                type(a)(
-                    f"{a.ident}|{b.ident}",
-                    (a.obj, b.obj),
-                    (a.provenance[0], a.provenance[1]),
-                )
-            )
-    return out
+    return Corpus(
+        [CorpusItem(f"{a.ident}|{b.ident}", (a.obj, b.obj)) for a in items for b in items]
+    )

@@ -162,18 +162,18 @@ def _cmd_campaign(args) -> int:
     }
     if args.name == "splitting":
         corpus = pair_corpus(corpus, nmax=args.nmax)
+    failure = None
     try:
         report = run_campaign(args.name, corpus, params)
-    except CampaignFailure as failure:
-        report = failure.report
-        if args.out:
-            report.write_jsonl(args.out)
-        print(str(failure), file=sys.stderr)
-        return 1
+    except CampaignFailure as exc:
+        failure, report = exc, exc.report
     if args.out:
         report.write_jsonl(args.out)
-        if args.csv:
-            report.write_csv(args.csv)
+    if args.csv:
+        report.write_csv(args.csv)
+    if failure is not None:
+        print(str(failure), file=sys.stderr)
+        return 1
     print(json.dumps(report.summary_dict(), sort_keys=True))
     return 0 if report.ok else 1
 

@@ -92,12 +92,11 @@ def parse_instance(line: str) -> Hypergraph | SquareFreeIdeal | GeneralMonomialI
 class CorpusItem:
     ident: str
     obj: object
-    provenance: tuple[str, int]
 
 
 @dataclass
 class Corpus:
-    """Ordered list of validated instances with provenance."""
+    """Ordered list of validated instances."""
 
     items: list[CorpusItem] = field(default_factory=list)
 
@@ -109,11 +108,7 @@ class Corpus:
 
     @classmethod
     def from_objects(cls, objs: Iterable, source: str = "<memory>") -> "Corpus":
-        items = [
-            CorpusItem(f"{source}:{i}", obj, (source, i))
-            for i, obj in enumerate(objs)
-        ]
-        return cls(items)
+        return cls([CorpusItem(f"{source}:{i}", obj) for i, obj in enumerate(objs)])
 
 
 def _instance_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -128,7 +123,7 @@ def _instance_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 def load_corpus_lines(lines: Iterable[str], source: str) -> Corpus:
     """Parse one instance per instance line (see `_instance_lines`)."""
     return Corpus([
-        CorpusItem(f"{source}:{lineno}", parse_instance(line), (source, lineno))
+        CorpusItem(f"{source}:{lineno}", parse_instance(line))
         for lineno, line in _instance_lines(lines)
     ])
 

@@ -2,8 +2,7 @@
 
 Covers chordal / weakly chordal recognition, free (simplicial) vertices,
 block decompositions with leaf / distant-leaf / special-block flags,
-block paths, Cohen-Macaulay clique partitions, and the colon graph of
-an edge.
+Cohen-Macaulay clique partitions, and the colon graph of an edge.
 
 One maximum cardinality search gives everything chordal: its reversed
 visit order is a perfect elimination ordering (PEO) exactly when G is
@@ -196,47 +195,6 @@ def block_decomposition(G: Graph) -> BlockDecomposition:
     return BlockDecomposition(blocks, leaf, distant, tuple(special))
 
 
-def special_blocks(G: Graph) -> list[tuple[int, str]]:
-    """All blocks qualifying as special, with the strongest type (I > II > III)."""
-    dec = block_decomposition(G)
-    return [
-        (blk, typ)
-        for blk, typ in zip(dec.blocks, dec.special_type)
-        if typ != "none"
-    ]
-
-
-def block_path(G: Graph, b1: int, b2: int) -> tuple[int, ...]:
-    """The unique block path between two blocks of a connected block graph.
-
-    Blocks are addressed by index into block_decomposition(G).blocks.
-    The path is a shortest sequence of blocks from b1 to b2 in which
-    consecutive blocks share a vertex.  Such a sequence is the path of
-    the block-cut tree: if three consecutive blocks shared one vertex,
-    the middle one could be dropped, so the blocks and the vertices they
-    share walk the tree without turning back, and in a tree that walk is
-    the only path between its ends.
-    """
-    blocks = block_decomposition(G).blocks
-    if b1 == b2:
-        raise InputError("block path endpoints must differ")
-    if not (0 <= b1 < len(blocks) and 0 <= b2 < len(blocks)):
-        raise InputError("block index out of range")
-    prev = {b1: None}
-    queue = [b1]
-    for i in queue:  # breadth first: the list grows while it is read
-        for j, other in enumerate(blocks):
-            if j not in prev and other & blocks[i]:
-                prev[j] = i
-                queue.append(j)
-    if b2 not in prev:
-        raise InputError("blocks lie in different components")
-    path = [b2]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return tuple(reversed(path))
-
-
 # -- Cohen-Macaulay chordal recognition --------------------------------------
 
 
@@ -256,10 +214,6 @@ def cm_clique_partition(G: Graph) -> tuple[int, ...] | None:
             return None
         covered |= p
     return tuple(parts) if covered == (1 << G.n) - 1 else None
-
-
-def is_cm_chordal(G: Graph) -> bool:
-    return cm_clique_partition(G) is not None
 
 
 # -- the colon graph of an edge -----------------------------------------------

@@ -23,8 +23,6 @@ the number of hypergraphs.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
@@ -158,13 +156,6 @@ class Hypergraph:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, edges={[vertices_of(e) for e in self.edges]})"
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "edges": [list(vertices_of(e)) for e in self.edges]}
-        )
-
 
 class Graph(Hypergraph):
     """A 2-uniform hypergraph with derived adjacency bit rows."""
@@ -182,9 +173,6 @@ class Graph(Hypergraph):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.adj = tuple(adj)
-
-    def neighbors(self, v: int) -> int:
-        return self.adj[v]
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -227,34 +215,21 @@ def check_matching(H: Hypergraph, indices: Sequence[int]) -> tuple[int, ...]:
     return idx
 
 
-@dataclass(frozen=True)
-class InducedSub:
-    """An induced sub-hypergraph with its relabeling bookkeeping.
-
-    vertex_map[new] = old vertex, edge_map[new] = old edge index.
-    """
-
-    hypergraph: Hypergraph
-    vertex_map: tuple[int, ...]
-    edge_map: tuple[int, ...]
-
-
-def induced_sub(H: Hypergraph, W) -> InducedSub:
-    """H[W]: edges contained in W, vertices relabeled densely to 0..|W|-1."""
+def induced_sub(H: Hypergraph, W) -> Hypergraph:
+    """H[W]: edges contained in W, in H's order, with the vertices of W
+    relabeled densely to 0..|W|-1 in increasing order; a Graph if H is."""
     wmask = W if isinstance(W, int) else vertex_set(W, H.n)
     if wmask < 0 or wmask >> H.n:
         raise InputError(f"vertex set {wmask:#x} out of range for n={H.n}")
     old = vertices_of(wmask)
     new_of = {v: i for i, v in enumerate(old)}
-    edges = []
-    emap = []
-    for i, e in enumerate(H.edges):
-        if e & ~wmask:
-            continue
-        edges.append(vertex_set((new_of[v] for v in vertices_of(e)), len(old)))
-        emap.append(i)
+    edges = [
+        vertex_set((new_of[v] for v in vertices_of(e)), len(old))
+        for e in H.edges
+        if not e & ~wmask
+    ]
     cls = Graph if isinstance(H, Graph) else Hypergraph
-    return InducedSub(cls(len(old), edges), old, tuple(emap))
+    return cls(len(old), edges)
 
 
 def disjoint_union(H1: Hypergraph, H2: Hypergraph) -> Hypergraph:

@@ -198,9 +198,6 @@ class GeneralMonomialIdeal:
     def __repr__(self) -> str:
         return f"GeneralMonomialIdeal(n={self.n}, gens={list(self.gens)})"
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "gens_exp": [list(g) for g in self.gens]})
-
 
 def matching_power_general(I: GeneralMonomialIdeal, k: int) -> GeneralMonomialIdeal:
     """k-th matching power: products of k generators with disjoint supports."""

@@ -383,8 +383,9 @@ class TestInducedClosure:
     @settings(max_examples=40)
     def test_witness_recertifies_in_host(self, H):
         wmask = H.covered() & 0b1011011
-        sub = induced_sub(H, wmask)
-        H1 = sub.hypergraph
+        H1 = induced_sub(H, wmask)
+        # H1 keeps the edges of H inside W in order, so this maps its edge indices back
+        edge_map = [i for i, e in enumerate(H.edges) if not e & ~wmask]
         nu1 = matching_number(H1)
         nu = matching_number(H)
         for m in oracles.brute_matchings(H1.edges):
@@ -393,5 +394,5 @@ class TestInducedClosure:
             for k in range(1, min(nu1, nu) + 1):
                 w = is_generalized_k_admissible(H1, m, k)
                 if w is not None:
-                    lifted = tuple(sub.edge_map[i] for i in m)
+                    lifted = tuple(edge_map[i] for i in m)
                     assert is_generalized_k_admissible(H, lifted, k) is not None

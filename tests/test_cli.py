@@ -1,12 +1,19 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
-from sqfpow.cli import main
+import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import sqfpow
+from sqfpow.campaigns import CAMPAIGNS
+from sqfpow.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -270,6 +277,25 @@ class TestCampaignCommand:
         )
         assert code == 2 and "kmax" in err and out == ""
 
+    @pytest.mark.parametrize("flag, value", [("--limit", "0"), ("--limit", "-1"), ("--jobs", "-2")])
+    def test_limit_or_jobs_below_one_exit2(self, capsys, tmp_path, flag, value):
+        out_path = tmp_path / "report.jsonl"
+        code, out, err = run(
+            capsys, "campaign", "chordal-conjecture", "--bundled", "connected_le7",
+            flag, value, "--out", str(out_path),
+        )
+        assert code == 2 and flag[2:] in err and out == "" and not out_path.exists()
+
+    def test_csv_without_out(self, capsys, tmp_path):
+        csv_path = tmp_path / "r.csv"
+        code, out, _ = run(
+            capsys, "campaign", "chordal-conjecture", "--bundled", "connected_le7",
+            "--nmax", "4", "--csv", str(csv_path),
+        )
+        assert code == 0
+        rows = csv_path.read_text().splitlines()
+        assert rows[0].startswith("instance,k,ok") and len(rows) == 1 + json.loads(out)["checks"]
+
     def test_bad_characteristic_exit2(self, capsys):
         # aim-deletion computes no regularity, so only the up-front check sees it
         code, out, err = run(
@@ -314,6 +340,20 @@ class TestCampaignCommand:
         assert "failed" in err
         assert out_path.exists()
 
+    def test_failure_writes_csv(self, capsys, tmp_path, monkeypatch):
+        import sqfpow.campaigns as camp
+
+        monkeypatch.setattr(camp, "reg_power_cached", lambda *a, **kw: 99)
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("A_\nBw\n")
+        csv_path = tmp_path / "r.csv"
+        code, _, _ = run(
+            capsys, "campaign", "chordal-conjecture", "--corpus", str(corpus), "--csv", str(csv_path)
+        )
+        assert code == 1
+        rows = csv_path.read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith(f"{corpus}:1,1,0,")
+
     def test_failure_record_written_once(self, capsys, tmp_path, monkeypatch):
         import sqfpow.campaigns as camp
 
@@ -338,3 +378,43 @@ class TestImport:
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True
         )
         assert result.returncode == 0, result.stderr.decode()
+
+
+# Every public name of the package, so that adding or removing one is a
+# deliberate edit here.  Submodules are left out: which of them are bound as
+# attributes depends on what was imported first.
+PUBLIC_NAMES = {
+    "AdmissibleWitness", "BettiTable", "BlockDecomposition", "BudgetError",
+    "CampaignFailure", "CampaignReport", "Corpus", "GeneralMonomialIdeal", "Graph",
+    "Hypergraph", "InputError", "SquareFreeIdeal", "aim", "aim_profile", "aim_star",
+    "betti_splitting_check", "betti_table", "block_decomposition", "bundled_corpus",
+    "cm_clique_partition", "colon_graph", "disjoint_union", "edge_ideal",
+    "enumerate_matchings", "forcing_components", "free_vertices",
+    "induced_matching_number", "induced_sub", "is_block_graph", "is_chordal",
+    "is_generalized_k_admissible", "is_rigid_part", "is_weakly_chordal", "load_corpus",
+    "lower_bound", "matching_number", "matching_power_general", "maximal_cliques",
+    "pair_corpus", "parse_graph6", "parse_instance", "polarize", "regularity",
+    "run_campaign", "splitting_for_disjoint_union", "sqfree_power", "vertex_set",
+    "vertices_of",
+}
+
+
+class TestPublicSurface:
+    def test_public_names_pinned(self):
+        names = {
+            n for n, v in vars(sqfpow).items()
+            if not n.startswith("_") and not isinstance(v, types.ModuleType)
+        }
+        assert names == PUBLIC_NAMES
+
+    def test_readme_campaign_names(self):
+        readme = (ROOT / "README.md").read_text()
+        listed = re.search(r"Campaign names:(.*?)\.\s", readme, re.S).group(1)
+        assert sorted(re.findall(r"`([^`]+)`", listed)) == sorted(CAMPAIGNS)
+
+    def test_readme_campaign_usage_flags(self):
+        readme = (ROOT / "README.md").read_text()
+        usage = re.search(r"^sqfpow campaign .*?(?=^```)", readme, re.S | re.M).group(0)
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        options = set(subparsers.choices["campaign"]._option_string_actions) - {"-h", "--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", usage)) == options

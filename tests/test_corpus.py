@@ -159,7 +159,7 @@ class TestLoaders:
         corpus = load_corpus(path)
         assert len(corpus) == 4
         assert isinstance(corpus.items[0].obj, Graph)
-        assert corpus.items[0].provenance == (str(path), 2)
+        assert corpus.items[0].ident == f"{path}:2"
         assert corpus.items[1].obj == Hypergraph(3, [(0, 1, 2)])
         assert corpus.items[2].obj == SquareFreeIdeal(3, [(0, 1)])
         assert corpus.items[3].obj == GeneralMonomialIdeal(2, [(2, 0)])

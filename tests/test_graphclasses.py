@@ -11,17 +11,14 @@ from sqfpow import (
     InputError,
     SquareFreeIdeal,
     block_decomposition,
-    block_path,
     bundled_corpus,
     cm_clique_partition,
     colon_graph,
     free_vertices,
     is_block_graph,
     is_chordal,
-    is_cm_chordal,
     is_weakly_chordal,
     maximal_cliques,
-    special_blocks,
     sqfree_power,
     vertices_of,
 )
@@ -69,7 +66,7 @@ class TestWeaklyChordal:
     def test_chordal_implies_weakly(self, fig1):
         from sqfpow import induced_sub
 
-        big_component = induced_sub(fig1, range(15)).hypergraph
+        big_component = induced_sub(fig1, range(15))
         assert is_weakly_chordal(big_component)
 
     def test_budget(self):
@@ -170,7 +167,7 @@ class TestBlockDecomposition:
     def test_isolated_vertex_block(self):
         dec = block_decomposition(Graph(1))
         assert dec.blocks == (1,)
-        assert special_blocks(Graph(1)) == [(1, "I")]
+        assert dec.special_type == ("I",)
 
     def test_rejects_non_block(self):
         diamond = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -213,74 +210,6 @@ class TestBlockDecomposition:
                 assert (a & b).bit_count() <= 1
 
 
-def _brute_block_paths(G, b1, b2):
-    """All sequences satisfying the block path conditions, by DFS."""
-    dec = block_decomposition(G)
-    blocks = dec.blocks
-    results = []
-
-    def ok_append(path, j):
-        for pos, i in enumerate(path):
-            meets = bool(blocks[i] & blocks[j])
-            if pos == len(path) - 1:
-                if not meets:
-                    return False
-            elif meets:
-                return False
-        return True
-
-    def rec(path):
-        if path[-1] == b2:
-            results.append(tuple(path))
-            return
-        for j in range(len(blocks)):
-            if j not in path and ok_append(path, j):
-                rec(path + [j])
-
-    rec([b1])
-    return results
-
-
-class TestBlockPath:
-    def test_fig1_example(self, fig1):
-        dec = block_decomposition(fig1)
-        b1 = dec.blocks.index(0b111)
-        b3 = dec.blocks.index((1 << 5) | (1 << 9))
-        path = block_path(fig1, b1, b3)
-        assert [vertices_of(dec.blocks[i]) for i in path] == [
-            (0, 1, 2),
-            (2, 3, 4, 5),
-            (5, 9),
-        ]
-
-    def test_adjacent_blocks(self, fig1):
-        dec = block_decomposition(fig1)
-        b1 = dec.blocks.index(0b111)
-        b2 = dec.blocks.index(0b111100)
-        assert len(block_path(fig1, b1, b2)) == 2
-
-    def test_same_block_rejected(self, fig1):
-        with pytest.raises(InputError):
-            block_path(fig1, 0, 0)
-
-    def test_uniqueness_exhaustive(self, fig1):
-        checked = 0
-        for G in [fig1] + _block_graphs_le7():
-            nb = len(block_decomposition(G).blocks)
-            for i in range(nb):
-                for j in range(nb):
-                    if i == j:
-                        continue
-                    try:
-                        path = block_path(G, i, j)
-                    except InputError:
-                        assert not _brute_block_paths(G, i, j)
-                        continue
-                    assert _brute_block_paths(G, i, j) == [path], (G, i, j)
-                    checked += 1
-        assert checked >= 1824  # the block paths of graphs_le7 alone
-
-
 class TestSpecialBlocks:
     def test_existence_on_small_block_graphs(self):
         from sqfpow import bundled_corpus
@@ -290,7 +219,8 @@ class TestSpecialBlocks:
             G = item.obj
             if not is_block_graph(G):
                 continue
-            assert special_blocks(G), f"no special block in {G!r}"
+            special = [t for t in block_decomposition(G).special_type if t != "none"]
+            assert special, f"no special block in {G!r}"
             count += 1
         assert count == 214  # block graphs (incl. disconnected) with n <= 7
 
@@ -309,7 +239,7 @@ class TestCmCliquePartition:
         assert cm_clique_partition(Graph(4, [(0, 1), (0, 2), (0, 3)])) is None
 
     def test_p3_none(self):
-        assert not is_cm_chordal(Graph(3, [(0, 1), (1, 2)]))
+        assert cm_clique_partition(Graph(3, [(0, 1), (1, 2)])) is None
 
     @given(small_graphs(max_n=7))
     @settings(max_examples=60)

@@ -12,7 +12,6 @@ from sqfpow import (
     is_block_graph,
     regularity,
     run_campaign,
-    special_blocks,
     sqfree_power,
 )
 from sqfpow.hypergraphs import matching_number
@@ -33,7 +32,8 @@ def test_special_block_existence_n8(chordal8):
     for G in chordal8:
         if not is_block_graph(G):
             continue
-        assert special_blocks(G), f"no special block in {G!r}"
+        special = [t for t in block_decomposition(G).special_type if t != "none"]
+        assert special, f"no special block in {G!r}"
         count += 1
     assert count > 200
 
