@@ -146,9 +146,11 @@ def reg_power_cached(H: Hypergraph, k: int, char: int) -> int:
     `cm-chordal-2`, `lower-bound`, `ci-formula` and the per-k values of
     `restriction`.  `splitting`, `reg-lemmas`, `polarization` and the
     sub-hypergraph queries of `restriction` call `regularity` directly.
-    Nothing is cached: over isomorph-free corpora no query repeats. The
-    name stays because the benchmark and the tests replace this function
-    to time or to break those queries.
+    No answer is cached, since over isomorph-free corpora no query
+    repeats; what carries over from one k to the next of the same H is
+    `sqfree_power`'s kept levels.  The name stays for the benchmark, which
+    wraps this function by name to time these queries, and for the tests
+    that replace it to break them.
     """
     return regularity(sqfree_power(H, k), char)
 
@@ -429,11 +431,12 @@ def _run_restriction(H: Hypergraph, ctx: dict) -> Iterator[tuple]:
 def _run_polarization(I: GeneralMonomialIdeal, ctx: dict) -> Iterator[tuple]:
     char = ctx["char"]
     caps = [max((g[i] for g in I.gens), default=0) for i in range(I.n)]
-    P = polarize(I, caps)
+    # one hypergraph for every k, so sqfree_power's kept levels serve the next k
+    P = polarize(I, caps).hypergraph()
     kmax = 3 if ctx.get("kmax") is None else ctx["kmax"]
     for k in range(1, kmax + 1):
         lhs = polarize(matching_power_general(I, k), caps)
-        rhs = sqfree_power(P.hypergraph(), k)
+        rhs = sqfree_power(P, k)
         ok = lhs == rhs
         data = {"gens": len(lhs.gens), "identity": ok}
         if ok and not lhs.is_zero() and not lhs.is_unit():

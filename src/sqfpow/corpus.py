@@ -74,7 +74,8 @@ def parse_instance(line: str) -> Hypergraph | SquareFreeIdeal | GeneralMonomialI
         data = json.loads(s)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid instance JSON: {exc}") from exc
-    if isinstance(data, dict) and isinstance(data.get("n"), int):
+    # a JSON true or false is a Python bool, which is an int too
+    if isinstance(data, dict) and type(data.get("n")) is int:
         for key, cls in (
             ("edges", Hypergraph),
             ("gens_exp", GeneralMonomialIdeal),

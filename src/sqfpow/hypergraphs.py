@@ -10,7 +10,9 @@ minimal generators of its edge ideal.
 Three scans cover the matchings: `walk_matchings` visits every matching
 with its forcing parts and its count of induced edges, `matching_number`
 is a branch-and-bound for nu, and `enumerate_matchings` is the only scan
-of the matchings of one fixed size (it also decides rigidity).
+of the matchings of one fixed size (it decides rigidity and gives the
+matching powers of general monomial ideals).  `ideals.sqfree_power`
+lists no matchings: it builds the distinct supports V(M) level by level.
 
 Each hypergraph gets one fold over `walk_matchings` (`MatchingFold`):
 nu, the largest |M| per defect |M| - c(M) (which gives aim_profile) and
@@ -38,9 +40,13 @@ class BudgetError(RuntimeError):
 
 
 def vertex_set(vertices: Iterable[int], n: int) -> int:
-    """Pack vertex indices into a bit mask, range-checked against n."""
+    """Pack vertex indices into a bit mask, range-checked against n.
+
+    A vertex must be an int: a bool, a float or a string is refused."""
     mask = 0
     for v in vertices:
+        if type(v) is not int:
+            raise InputError(f"vertex {v!r} is not an integer")
         if not 0 <= v < n:
             raise InputError(f"vertex {v} out of range for n={n}")
         mask |= 1 << v
@@ -62,7 +68,7 @@ def masks_of(n: int, items: Sequence) -> list[int]:
     lists) into masks, range-checked against n."""
     if not 0 <= n <= MAX_VERTICES:
         raise InputError(f"universe size {n} not in 0..{MAX_VERTICES}")
-    masks = [x if isinstance(x, int) else vertex_set(x, n) for x in items]
+    masks = [x if type(x) is int else vertex_set(x, n) for x in items]
     if masks and (min(masks) < 0 or max(masks) >> n):
         bad = next(m for m in masks if m < 0 or m >> n)
         raise InputError(f"mask {bad:#x} out of range for n={n}")

@@ -103,21 +103,98 @@ def edge_ideal(H: Hypergraph) -> SquareFreeIdeal:
     return SquareFreeIdeal(H.n, H.edges)
 
 
+class _Supports:
+    """The levels of `sqfree_power` built so far for one hypergraph H.
+
+    levels maps each j built in full (1 always) to G(I(H)^[j]), the
+    minimal supports V(M) over the j-matchings M, as masks.  For
+    each vertex v, below[v] holds the edges whose lowest vertex is below
+    v, lows[v] counts those lowest vertices and cover[v] is the union of
+    those edges; d is the least edge size.
+    """
+
+    __slots__ = ("H", "below", "lows", "cover", "d", "levels")
+
+    def __init__(self, H: Hypergraph):
+        self.H = H
+        by_low: list[list[int]] = [[] for _ in range(H.n)]
+        for e in H.edges:
+            by_low[(e & -e).bit_length() - 1].append(e)
+        self.below: list[tuple[int, ...]] = []
+        self.lows: list[int] = []
+        self.cover: list[int] = []
+        edges: tuple[int, ...] = ()
+        lows = cover = 0
+        for group in by_low:
+            self.below.append(edges)
+            self.lows.append(lows)
+            self.cover.append(cover)
+            edges += tuple(group)
+            lows += bool(group)
+            for e in group:
+                cover |= e
+        self.d = min(map(int.bit_count, H.edges), default=0)
+        self.levels = {1: H.edges}
+
+    def level(self, k: int) -> tuple[int, ...]:
+        """G(I(H)^[k]) for k >= 1, grown from the highest level kept below k.
+
+        A level built only on the way to k keeps the supports U that can
+        still reach k: the k - j edges still to come miss U and one another
+        and have distinct lowest vertices below U's, so there must be k - j
+        such lowest vertices and (k - j) * d vertices outside U covered by
+        the edges below, d being the least edge size.
+        """
+        levels, below = self.levels, self.below
+        if k in levels:
+            return levels[k]
+        j = k - 1
+        while j not in levels:
+            j -= 1
+        gens, lows, cover, d = levels[j], self.lows, self.cover, self.d
+        while gens and j < k:
+            j += 1
+            grown = {U | e for U in gens for e in below[(U & -U).bit_length() - 1] if not e & U}
+            if j < k:
+                need = k - j
+                grown = [
+                    U for U in grown
+                    if lows[v := (U & -U).bit_length() - 1] >= need
+                    and (cover[v] & ~U).bit_count() >= need * d
+                ]
+            gens = minimal_masks(grown)
+        levels[k] = gens
+        return gens
+
+
+_kept: _Supports | None = None
+
+
 def sqfree_power(H: Hypergraph, k: int) -> SquareFreeIdeal:
     """I(H)^[k], generated by x_{V(M)} over size-k matchings M.
 
     Returns the unit ideal for k <= 0 (the R-convention) and the zero
     ideal when k exceeds the matching number.
+
+    No matching is listed: the minimal supports are built level by level.
+    A support U of level j - 1 grows by each edge e that misses U and whose
+    lowest vertex lies below the lowest vertex of U.  For a j-matching M,
+    the edge e of M through the lowest vertex of V(M) qualifies from
+    V(M - e), so every support is reached, and from few parents.  If V(M)
+    is minimal, so is V(M - e): a smaller V(M') would give the smaller
+    support V(M' + e).  So each level keeps only its minimal supports,
+    which are the generators, and non-uniform hypergraphs lose no
+    generator.  The levels built so far are kept for the last hypergraph
+    asked about, matched by identity (hypergraphs are immutable), so a
+    k = 1..nu loop builds each level once; a call that skips levels builds
+    them only in part and keeps none of them (see `_Supports.level`).
     """
+    global _kept
     if k <= 0:
         return SquareFreeIdeal(H.n, [0])
-    gens = []
-    for idx in enumerate_matchings(H.edges, k):
-        mask = 0
-        for i in idx:
-            mask |= H.edges[i]
-        gens.append(mask)
-    return SquareFreeIdeal(H.n, gens)
+    if _kept is None or _kept.H is not H:
+        _kept = _Supports(H)
+    return SquareFreeIdeal(H.n, _kept.level(k))
 
 
 def splitting_for_disjoint_union(
@@ -167,7 +244,9 @@ class GeneralMonomialIdeal:
             raise InputError("negative universe size")
         vecs = []
         for g in gens:
-            v = tuple(int(e) for e in g)
+            v = tuple(g)
+            if any(type(e) is not int for e in v):
+                raise InputError(f"exponent vector {v} has an entry that is not an integer")
             if len(v) != n or any(e < 0 for e in v):
                 raise InputError(f"bad exponent vector {v} for n={n}")
             vecs.append(v)

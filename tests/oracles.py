@@ -38,6 +38,20 @@ def brute_matching_number(edges):
     return max(len(m) for m in brute_matchings(edges))
 
 
+def brute_sqfree_power(edges, k):
+    """G(I(H)^[k]) as frozensets: the union of every k pairwise disjoint
+    edges, by a scan of all k-subsets, then the minimal unions kept; the
+    unit ideal {frozenset()} for k <= 0."""
+    if k <= 0:
+        return {frozenset()}
+    unions = set()
+    for combo in combinations(masks_to_sets(edges), k):
+        union = frozenset().union(*combo)
+        if len(union) == sum(len(e) for e in combo):
+            unions.add(union)
+    return {u for u in unions if not any(v < u for v in unions)}
+
+
 def brute_induced_matching_number(edges):
     sets = masks_to_sets(edges)
     best = 0

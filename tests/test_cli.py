@@ -123,6 +123,15 @@ class TestAimGensBetti:
         assert code == 0
         assert json.loads(out) == {"n": 4, "gens": [[0, 1, 2, 3]]}
 
+    @pytest.mark.parametrize(
+        "literal",
+        ['{"n": 2, "gens_exp": [[1.5, 1]]}', '{"n": true, "edges": [[0]]}', '{"n": 3, "edges": [[0, true]]}'],
+    )
+    def test_number_that_is_not_an_integer_exit2(self, capsys, literal):
+        for argv in (("gens", literal, "--k", "1"), ("classify", literal)):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and "input error" in err and out == ""
+
     def test_gens_int_mask_out_of_range_exit2(self, capsys):
         code, out, err = run(capsys, "gens", '{"n": 3, "gens": [8]}', "--k", "1")
         assert code == 2 and "out of range" in err and out == ""

@@ -15,6 +15,7 @@ from sqfpow import (
     SquareFreeIdeal,
     bundled_corpus,
     parse_graph6,
+    vertex_set,
 )
 from sqfpow.corpus import (
     load_corpus,
@@ -147,6 +148,34 @@ class TestParseInstance:
     def test_bad_json(self, line):
         with pytest.raises(InputError):
             parse_instance(line)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"n":true,"edges":[[0]]}',
+            '{"n":false,"gens":[]}',
+            '{"n":3,"edges":[[0,true]]}',
+            '{"n":3,"edges":[[0,1.0]]}',
+            '{"n":3,"edges":[[0,"2"]]}',
+            '{"n":3,"edges":[true]}',
+            '{"n":3,"gens":[[false,1]]}',
+            '{"n":2,"gens_exp":[[1.5,1]]}',
+            '{"n":2,"gens_exp":[[1.0,1]]}',
+            '{"n":2,"gens_exp":[["2",1]]}',
+            '{"n":2,"gens_exp":[[true,0]]}',
+        ],
+    )
+    def test_number_that_is_not_an_integer(self, line):
+        # JSON true/false, 1.5 or "2" used to be read as 1, 1 or 2
+        with pytest.raises(InputError):
+            parse_instance(line)
+
+    def test_vertex_set_refuses_non_integers(self):
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(InputError, match="not an integer"):
+                vertex_set([0, bad], 3)
+        with pytest.raises(InputError, match="not an integer"):
+            GeneralMonomialIdeal(2, [(1, 1.0)])
 
 
 class TestLoaders:

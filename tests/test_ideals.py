@@ -1,24 +1,33 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import complete_graph
+from oracles import brute_sqfree_power, masks_to_sets
 from sqfpow import (
     GeneralMonomialIdeal,
+    Graph,
     Hypergraph,
     InputError,
     SquareFreeIdeal,
+    bundled_corpus,
     disjoint_union,
     edge_ideal,
+    matching_number,
     matching_power_general,
     polarize,
     splitting_for_disjoint_union,
     sqfree_power,
 )
-from sqfpow.corpus import parse_instance
+from sqfpow.corpus import parse_instance, random_hypergraph
 
 
 def _contains(I, mask):
@@ -133,6 +142,78 @@ class TestSqfreePower:
         H = Hypergraph(5, [(0, 1), (2, 3), (0, 2, 4), (1, 3)])
         I = sqfree_power(H, 2)
         assert I.gens == (0b01111,)
+
+    def test_graphs_le7_against_oracle(self):
+        # k ascending grows each level from the one kept below it; k descending
+        # on a copy skips levels, which are then built only in part
+        for item in bundled_corpus("graphs_le7"):
+            G = item.obj
+            copy = Graph(G.n, G.edges)
+            ks = range(matching_number(G) + 2)
+            want = {k: brute_sqfree_power(G.edges, k) for k in ks}
+            for H, order in ((G, ks), (copy, reversed(ks))):
+                for k in order:
+                    got = set(masks_to_sets(sqfree_power(H, k).gens))
+                    assert got == want[k], (item.ident, k)
+
+    def test_non_uniform_against_oracle(self):
+        rng = random.Random(19)
+        nested = 0
+        for _ in range(150):
+            H = random_hypergraph(rng, n_range=(4, 9), size_range=(1, 4), max_edges=7)
+            for k in range(matching_number(H) + 2):
+                want = brute_sqfree_power(H.edges, k)
+                assert set(masks_to_sets(sqfree_power(H, k).gens)) == want, (H, k)
+                unions = {
+                    frozenset().union(*m) for m in combinations(masks_to_sets(H.edges), k)
+                    if sum(map(len, m)) == len(frozenset().union(*m))
+                }
+                nested += unions != want
+        # some unions of k disjoint edges are not minimal, so minimality is tested
+        assert nested
+
+    def test_skipped_levels_against_oracle(self):
+        # a first call at k builds the levels below k only in part
+        rng = random.Random(7)
+        for _ in range(60):
+            H = random_hypergraph(rng, n_range=(5, 10), size_range=(1, 3), max_edges=9)
+            for k in range(2, matching_number(H) + 2):
+                fresh = Hypergraph(H.n, H.edges)
+                assert set(masks_to_sets(sqfree_power(fresh, k).gens)) == brute_sqfree_power(H.edges, k)
+
+    def test_kept_levels_match_fresh_calls(self, p4, c5):
+        G = complete_graph(6)
+        calls = [(G, 3), (G, 1), (p4, 2), (G, 2), (p4, 1), (G, 4), (G, 0), (G, -1), (G, 3)]
+        calls += [(c5, k) for k in (3, 2, 1, 0)] + [(c5, k) for k in (1, 2, 3)]
+        calls += [(p4, 5), (p4, 2), (Hypergraph(0), 1), (Hypergraph(3), 2), (Hypergraph(3), 0)]
+        calls += [(G, 1), (Hypergraph(0), 0), (p4, 1)]
+        # each fresh hypergraph object is a new key, so it is built from level 1
+        fresh = [sqfree_power(Hypergraph(H.n, H.edges), k) for H, k in calls]
+        assert [sqfree_power(H, k) for H, k in calls] == fresh
+        for (H, k), want in zip(calls, fresh):
+            assert set(masks_to_sets(want.gens)) == brute_sqfree_power(H.edges, k)
+
+    def test_skipped_levels_in_bounded_memory(self):
+        # one support at k = nu each; unpruned, the levels below would hold
+        # 2^32 masks for 32 disjoint edges, so the child is capped at 1 GiB
+        child = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from sqfpow import Hypergraph, sqfree_power\n"
+            "H = Hypergraph(64, [(2 * i, 2 * i + 1) for i in range(32)])\n"
+            "P = Hypergraph(60, [(i, i + 1) for i in range(59)])\n"
+            "print(sqfree_power(H, 32).gens == ((1 << 64) - 1,), sqfree_power(P, 30).gens == ((1 << 60) - 1,))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", child],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "True True"
 
 
 class TestSplitting:
