@@ -225,7 +225,6 @@ def _closure_steps(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...
     return tuple((without[v], tuple(steps[:v] + steps[v + 1:])) for v in range(n))
 
 
-_BYTE_OFFSETS = [[j for j in range(8) if b >> j & 1] for b in range(256)]
 _ASCII_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -265,11 +264,8 @@ def _vertex_set_tables(n: int, gens: tuple[int, ...]) -> tuple[list[int], bytes,
     """
     size = 1 << n
     closed, nonface = _unions(n, gens)
-    packed = closed.to_bytes(max(size >> 3, 1), "little")
-    sets = [
-        i << 3 | j for i in compress(range(len(packed)), packed) for j in _BYTE_OFFSETS[packed[i]]
-    ]
-    return sets, _spread(closed, size), _spread(nonface, size)
+    flags = _spread(closed, size)
+    return list(compress(range(size), flags)), flags, _spread(nonface, size)
 
 
 def _spread(bits: int, size: int) -> bytes:

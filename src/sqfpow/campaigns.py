@@ -368,9 +368,8 @@ def _run_aim_deletion(G: Graph, ctx: dict) -> Iterator[tuple]:
     yield None, {"checks": checked}, True, None
 
 
-def _run_reg_lemmas(item, ctx: dict) -> Iterator[tuple]:
+def _run_reg_lemmas(I: SquareFreeIdeal, ctx: dict) -> Iterator[tuple]:
     char = ctx["char"]
-    I, *rest = item if isinstance(item, tuple) else (item,)
     reg_i = regularity(I, char)
     ok = True
     detail: dict = {"reg": reg_i}
@@ -392,15 +391,6 @@ def _run_reg_lemmas(item, ctx: dict) -> Iterator[tuple]:
             if reg_i > upper:
                 ok, detail["split_monomial"] = False, list(vertices_of(m))
                 break
-    if ok and rest:
-        (J,) = rest
-        n = I.n + J.n
-        big_i = SquareFreeIdeal(n, I.gens)
-        big_j = SquareFreeIdeal(n, [g << I.n for g in J.gens])
-        lhs = regularity(big_i.plus(big_j), char)
-        rhs = reg_i + regularity(J, char) - 1
-        detail["disjoint_sum"] = [lhs, rhs]
-        ok = lhs == rhs
     yield None, detail, ok, None
 
 
@@ -466,11 +456,10 @@ def _gates(*rows) -> Callable:
 
 
 def _each(prepare: Callable) -> Callable:
-    """A prepare for a tuple (a lone object is a 1-tuple): the first
-    member's skip reason, or None."""
+    """A prepare for a tuple: the first member's skip reason, or None."""
 
     def each(obj, ctx):
-        for member in obj if isinstance(obj, tuple) else (obj,):
+        for member in obj:
             reason = prepare(member, ctx)
             if reason:
                 return reason
@@ -506,11 +495,6 @@ _PROPER = (lambda I, ctx: not (I.is_zero() or I.is_unit()), "zero-or-unit")
 _pair = _gates((lambda obj, ctx: isinstance(obj, tuple) and len(obj) == 2, "not-a-pair"))
 _pair_member = _gates(_HYPERGRAPH, _EDGES, _NMAX)  # no-edges before over-nmax
 _pair_members = _each(_pair_member)
-_reg_members = _each(_gates(_SQUAREFREE, _PROPER))
-# checked after the members, so a tuple's member reasons come first
-_one_or_two = _gates(
-    (lambda obj, ctx: not isinstance(obj, tuple) or 1 <= len(obj) <= 2, "not-one-or-two-ideals")
-)
 
 CAMPAIGNS: dict[str, tuple[Callable, Callable]] = {
     "chordal-conjecture": (_gates(*_GRAPH, _CHORDAL, _EDGES), _run_equality),
@@ -523,7 +507,7 @@ CAMPAIGNS: dict[str, tuple[Callable, Callable]] = {
     "colon-weakly-chordal": (_gates(*_GRAPH, _CHORDAL, _EDGES), _run_colon_weakly_chordal),
     "nu1-lemmas": (_gates(*_GRAPH, _CM, _NO_SINGLETON, _NU2), _run_nu1_lemmas),
     "aim-deletion": (_gates(*_GRAPH), _run_aim_deletion),
-    "reg-lemmas": (lambda obj, ctx: _reg_members(obj, ctx) or _one_or_two(obj, ctx), _run_reg_lemmas),
+    "reg-lemmas": (_gates(_SQUAREFREE, _PROPER), _run_reg_lemmas),
     "restriction": (_gates(_HYPERGRAPH, _NMAX, _EDGES), _run_restriction),
     "polarization": (_gates(_MONOMIAL, _PROPER), _run_polarization),
 }

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .admissible import aim, aim_star
-from .betti import betti_table, regularity
+from .betti import _check_budget, _check_characteristic, betti_table, regularity
 from .campaigns import CampaignFailure, pair_corpus, run_campaign
 from .corpus import _instance_lines, _read_lines, bundled_corpus, load_corpus, parse_instance
 from .graphclasses import (
@@ -69,8 +69,19 @@ def _as_power_ideal(obj, k: int) -> SquareFreeIdeal:
     raise InputError(f"cannot interpret {obj!r}")
 
 
+def _nu(obj: Hypergraph | SquareFreeIdeal) -> int:
+    if isinstance(obj, SquareFreeIdeal):
+        obj = Hypergraph(obj.n, [] if obj.is_unit() else obj.gens)
+    return matching_number(obj)
+
+
 def _cmd_reg(args) -> int:
     obj = _load_instance(args.input)
+    # The power keeps the universe of obj, so what `regularity` checks first is
+    # checked before it is built, unless it is R (k <= 0) or 0 (k > nu): reg 0.
+    if isinstance(obj, (Hypergraph, SquareFreeIdeal)) and 1 <= args.k <= _nu(obj):
+        _check_characteristic(args.char)
+        _check_budget(obj)
     ideal = _as_power_ideal(obj, args.k)
     print(regularity(ideal, args.char))
     return 0
@@ -85,6 +96,9 @@ def _cmd_gens(args) -> int:
 
 def _cmd_betti(args) -> int:
     obj = _load_instance(args.input)
+    if isinstance(obj, (Hypergraph, SquareFreeIdeal)):  # as in reg, at every k
+        _check_characteristic(args.char)
+        _check_budget(obj)
     ideal = _as_power_ideal(obj, args.k)
     table = betti_table(ideal, args.char)
     print("i,j,beta")

@@ -83,6 +83,9 @@ def parse_instance(line: str) -> Hypergraph | SquareFreeIdeal | GeneralMonomialI
         ):
             if key in data:
                 try:
+                    # a JSON number is no vertex list (masks_of would read it as a bit mask)
+                    if not all(type(item) is list for item in data[key]):
+                        raise InputError(f"every {key!r} item in instance JSON must be an array")
                     return cls(data["n"], data[key])
                 except TypeError as exc:  # e.g. a number where a vertex list belongs
                     raise InputError(f"malformed {key!r} in instance JSON: {exc}") from exc

@@ -7,11 +7,11 @@ range check of the masks a constructor is given, and `minimal_masks` the
 one minimality routine: the edges of a simple hypergraph are exactly the
 minimal generators of its edge ideal.
 
-Three scans cover the matchings: `walk_matchings` visits every matching
-with its forcing parts and its count of induced edges, `matching_number`
-is a branch-and-bound for nu, and `enumerate_matchings` is the only scan
-of the matchings of one fixed size (it decides rigidity and gives the
-matching powers of general monomial ideals).  `ideals.sqfree_power`
+Two scans cover the matchings: `walk_matchings` visits every matching
+with its forcing parts and its count of induced edges, and
+`enumerate_matchings` is the only scan of the matchings of one fixed size
+(it gives nu by probes after a greedy matching, decides rigidity and gives
+the matching powers of general monomial ideals).  `ideals.sqfree_power`
 lists no matchings: it builds the distinct supports V(M) level by level.
 
 Each hypergraph gets one fold over `walk_matchings` (`MatchingFold`):
@@ -25,7 +25,7 @@ the number of hypergraphs.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -308,24 +308,19 @@ def walk_matchings(H: Hypergraph) -> Iterator[tuple[tuple[int, ...], int, tuple,
 
 
 def matching_number(H: Hypergraph) -> int:
-    """nu(H): maximum size of a matching; 0 for an edgeless hypergraph."""
-    edges = H.edges
-    m = len(edges)
-    best = 0
-
-    def rec(start: int, used: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        for j in range(start, m):
-            if size + (m - j) <= best:
-                break
-            if edges[j] & used:
-                continue
-            rec(j + 1, used | edges[j], size + 1)
-
-    rec(0, 0, 0)
-    return best
+    """nu(H), 0 if H is edgeless: a greedy matching grown by probes for one edge more, run
+    while nu + 1 disjoint edges fit (d or more vertices, distinct lowest and highest ones)."""
+    used = nu = lows = highs = 0
+    for e in H.edges:
+        lows, highs = lows | e & -e, highs | 1 << e.bit_length() >> 1
+        if not e & used:
+            used |= e
+            nu += 1
+    d = min(map(int.bit_count, H.edges), default=1)
+    fit = min(H.covered().bit_count() // d, lows.bit_count(), highs.bit_count())
+    while nu < fit and next(enumerate_matchings(H.edges, nu + 1), None):
+        nu += 1
+    return nu
 
 
 class MatchingFold:
@@ -411,17 +406,22 @@ def enumerate_matchings(edges: Sequence[int], k: int) -> Iterator[tuple[int, ...
     The one scan over matchings of a fixed size, in lexicographic index
     order.  edges is a plain mask list, so it may repeat a mask (the
     supports of a general monomial ideal); the chosen masks are
-    disjoint, so their sum is their union.
+    disjoint, so their sum is their union.  A branch ends when `need` more
+    masks of d or more vertices cannot fit in the free vertices of edges[start:].
     """
     if k < 1:
         raise InputError(f"matching size k={k} must be >= 1")
     m = len(edges)
+    d = min(map(int.bit_count, edges), default=0)
+    tails = list(accumulate(reversed(edges), int.__or__, initial=0))[::-1]  # unions of edges[j:]
     chosen: list[int] = []
 
     def rec(start: int, used: int) -> Iterator[tuple[int, ...]]:
         need = k - len(chosen)
         if need == 0:
             yield tuple(chosen)
+            return
+        if need * d > (tails[start] & ~used).bit_count():
             return
         for j in range(start, m - need + 1):
             if edges[j] & used:

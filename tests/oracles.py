@@ -35,7 +35,17 @@ def brute_matchings(edges):
 
 
 def brute_matching_number(edges):
-    return max(len(m) for m in brute_matchings(edges))
+    """The largest r such that some r edges are pairwise disjoint, by a scan
+    of the r-subsets for r = 1, 2, ... that stops at the first r with none
+    (r + 1 pairwise disjoint edges contain r of them)."""
+    sets = masks_to_sets(edges)
+    r = 0
+    while any(
+        all(not sets[i] & sets[j] for i, j in combinations(combo, 2))
+        for combo in combinations(range(len(sets)), r + 1)
+    ):
+        r += 1
+    return r
 
 
 def brute_sqfree_power(edges, k):

@@ -111,20 +111,8 @@ class TestRunCampaign:
     def test_reg_lemmas(self):
         rng = random.Random(1)
         ideals = [random_squarefree_ideal(rng, n_range=(2, 5), max_gens=3) for _ in range(8)]
-        pairs = list(zip(ideals[::2], ideals[1::2]))
-        report = run_campaign("reg-lemmas", Corpus.from_objects(pairs, "ideals"))
-        assert report.ok and report.n_pass == 4
-
-    def test_reg_lemmas_skips_three_ideals(self):
-        trio = (_I, _I, SquareFreeIdeal(2, [0b11]))
-        prepare, _ = CAMPAIGNS["reg-lemmas"]
-        assert prepare(trio, {}) == "not-one-or-two-ideals"
-        assert prepare((), {}) == "not-one-or-two-ideals"
-        report = run_campaign("reg-lemmas", Corpus.from_objects([trio], "ideals"))
-        assert report.records == []
-        assert [(s.instance, s.reason) for s in report.skips] == [
-            ("ideals:0", "not-one-or-two-ideals")
-        ]
+        report = run_campaign("reg-lemmas", Corpus.from_objects(ideals, "ideals"))
+        assert report.ok and report.n_pass == 8
 
     def test_restriction(self):
         rng = random.Random(2)
@@ -209,10 +197,7 @@ _HYPER = _rows(
     rest="not-a-hypergraph",
 )
 _IDEAL = " ".join(
-    ["not-a-squarefree-ideal"] * 6
-    + ["zero-or-unit"] * 2
-    + [".", "not-a-squarefree-ideal", "not-a-squarefree-ideal", "."]
-    + ["not-a-squarefree-ideal"] * 5
+    ["not-a-squarefree-ideal"] * 6 + ["zero-or-unit"] * 2 + ["not-a-squarefree-ideal"] * 9
 )
 _GENERAL = " ".join(
     ["not-a-monomial-ideal"] * 9 + [".", "zero-or-unit"] + ["not-a-monomial-ideal"] * 6

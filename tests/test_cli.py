@@ -132,9 +132,18 @@ class TestAimGensBetti:
             code, out, err = run(capsys, *argv)
             assert code == 2 and "input error" in err and out == ""
 
-    def test_gens_int_mask_out_of_range_exit2(self, capsys):
-        code, out, err = run(capsys, "gens", '{"n": 3, "gens": [8]}', "--k", "1")
-        assert code == 2 and "out of range" in err and out == ""
+    def test_number_is_not_a_vertex_list_exit2(self, capsys, tmp_path):
+        # a JSON number used to be read as a vertex mask: [5] as the edge [0, 2]
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"n": 3, "edges": [[0, 1]]}\n{"n": 3, "edges": [5]}\n')
+        for argv in (
+            ("gens", '{"n": 3, "edges": [5]}', "--k", "1"),
+            ("gens", '{"n": 3, "gens": [8]}', "--k", "1"),
+            ("reg", '{"n": 3, "gens": [5]}'),
+            ("campaign", "lower-bound", "--corpus", str(corpus)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and "must be an array" in err and out == "", argv
 
     def test_betti_csv(self, capsys):
         code, out, _ = run(capsys, "betti", "A_")
@@ -153,6 +162,45 @@ class TestAimGensBetti:
         )
         assert code == 0
         assert out.splitlines() == ["i,j,beta", "0,3,1", "0,4,1", "1,5,1"]
+
+
+class TestBudgetBeforeBuild:
+    K30 = json.dumps({"n": 30, "edges": [[i, j] for i in range(30) for j in range(i + 1, 30)]})
+
+    def test_power_past_budget_refused_unbuilt(self):
+        # I(K30)^[7] has C(30, 14) generators; it is refused before it is
+        # built, in a child capped at 1 GiB
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from sqfpow.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        for cmd in ("reg", "betti"):
+            result = subprocess.run(
+                [sys.executable, "-c", child, cmd, self.K30, "--k", "7"],
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                capture_output=True,
+                text=True,
+                timeout=10,
+            )
+            assert result.returncode == 3 and "budget" in result.stderr, (cmd, result.stderr)
+            assert result.stdout == ""
+
+    def test_reg_answers_zero_outside_1_to_nu(self, capsys):
+        # R for k <= 0 and 0 for k > nu = 15 need no homology; betti refuses every k
+        for k, expected in (("0", 0), ("16", 0), ("15", 3)):
+            code, out, err = run(capsys, "reg", self.K30, "--k", k)
+            assert code == expected and out.strip() == ("0" if code == 0 else "")
+        for k in ("0", "16"):
+            code, out, err = run(capsys, "betti", self.K30, "--k", k)
+            assert code == 3 and "budget" in err and out == ""
+
+    def test_edge_ideal_past_budget(self, capsys):
+        zero, unit = '{"n": 22, "gens": []}', '{"n": 22, "gens": [[]]}'
+        for ideal, k, expected in ((zero, "1", 0), (unit, "1", 0), ('{"n": 22, "gens": [[0, 1]]}', "1", 3)):
+            code, _, _ = run(capsys, "reg", ideal, "--k", k)
+            assert code == expected
 
 
 class TestClassify:

@@ -170,6 +170,15 @@ class TestParseInstance:
         with pytest.raises(InputError):
             parse_instance(line)
 
+    @pytest.mark.parametrize(
+        "line",
+        ['{"n":3,"edges":[5]}', '{"n":3,"edges":[[0,1],2]}', '{"n":3,"gens":[5]}', '{"n":3,"gens":[0]}'],
+    )
+    def test_number_is_not_a_vertex_list(self, line):
+        # [5] used to be read as the mask of vertices 0 and 2
+        with pytest.raises(InputError, match="must be an array"):
+            parse_instance(line)
+
     def test_vertex_set_refuses_non_integers(self):
         for bad in (True, 1.0, "1"):
             with pytest.raises(InputError, match="not an integer"):

@@ -1,5 +1,10 @@
+import os
+import random
+import subprocess
+import sys
 from itertools import combinations
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +25,7 @@ from sqfpow import (
     vertex_set,
     vertices_of,
 )
-from sqfpow.corpus import parse_instance
+from sqfpow.corpus import bundled_corpus, parse_instance, random_hypergraph
 from sqfpow.hypergraphs import check_matching, minimal_masks, walk_matchings
 
 
@@ -188,6 +193,39 @@ class TestMatchingNumbers:
         H = Hypergraph(7, [(0, 1), (2, 3, 4), (5, 6)])
         assert induced_matching_number(H) == matching_number(H) == 3
 
+    def test_against_oracle_on_graphs_le7(self):
+        for item in bundled_corpus("graphs_le7"):
+            assert matching_number(item.obj) == oracles.brute_matching_number(item.obj.edges)
+
+    def test_against_oracle_on_mixed_edge_sizes(self):
+        # up to 11 edges, so the greedy matching often falls short and probes run
+        rng = random.Random(21)
+        for _ in range(400):
+            H = random_hypergraph(rng, (1, 12), (1, 4), 11)
+            assert matching_number(H) == oracles.brute_matching_number(H.edges), H
+
+    def test_dense_and_unbalanced_graphs_in_bounded_time_and_memory(self):
+        # a bound on the edges left, not the vertices, spends 47 s on K16;
+        # K_{8,40} and K_{40,8} need the counts of lowest and highest vertices
+        child = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from sqfpow import Graph, matching_number\n"
+            "def K(n): return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])\n"
+            "def Kab(a, b): return Graph(a + b, [(i, j) for i in range(a) for j in range(a, a + b)])\n"
+            "print([matching_number(G) for G in (K(14), K(16), K(30), K(64), Kab(8, 40), Kab(40, 8))])\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", child],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[7, 8, 15, 32, 8, 8]"
+
 
 class TestEnumerateMatchings:
     def test_k4_pairs(self, k4):
@@ -216,6 +254,23 @@ class TestEnumerateMatchings:
     def test_rejects_bad_k(self, k4):
         with pytest.raises(InputError):
             list(enumerate_matchings(k4.edges, 0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_against_index_tuple_scan(self, seed):
+        # plain mask lists as general-ideal supports give them: repeated masks,
+        # and in half of the lists a 0 mask
+        rng = random.Random(seed)
+        for _ in range(50):
+            n = rng.randint(1, 7)
+            masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 7))]
+            masks += rng.choices(masks, k=rng.randint(1, 2)) + [0] * rng.randint(0, 1)
+            rng.shuffle(masks)
+            for k in range(1, len(masks) + 2):
+                brute = [
+                    idx for idx in combinations(range(len(masks)), k)
+                    if all(not masks[i] & masks[j] for i, j in combinations(idx, 2))
+                ]
+                assert list(enumerate_matchings(masks, k)) == brute, (masks, k)
 
     def test_repeated_masks(self):
         # supports of a monomial ideal may repeat: xy^2 and x^2y share {x, y}
