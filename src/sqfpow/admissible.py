@@ -16,10 +16,12 @@ With the finest partition, M is generalized k-admissible exactly when its
 parts are all rigid and |M| - c(M) + 1 <= k <= |M|, c(M) its number of
 parts.  aim, aim_profile and lower_bound read one `hypergraphs.MatchingFold`
 per hypergraph, memoised for the last hypergraph seen (by identity): one
-walk gives the best |M| per defect, and L(H,k) at every k comes from a
-second walk on the first lower_bound call.  `best_admissible_witness`
-keeps its own walk per k, for the first maximizer in walk order, and is
-the in-repo referee for that fold.
+walk gives the best |M| per defect.  On the first lower_bound or
+`best_admissible_witness` call for H a second walk fills the fold's
+`lower` slot with L(H,k) and the first maximizer in walk order at every
+k (`_lower_table`).  The brute-force oracles of `tests/oracles.py`
+(`brute_lower_bound`, `brute_is_generalized_admissible`) referee that
+table; no second walk here does.
 
 aim* (graphs only) needs every part to induce a forest, which it reads
 off the walk's count of induced edges: the parts are all forests exactly
@@ -35,11 +37,12 @@ from .hypergraphs import (
     Graph,
     Hypergraph,
     InputError,
+    MatchingFold,
     check_matching,
+    enumerate_matchings,
     forcing_step,
     matching_fold,
     matching_number,
-    rigid,
     vertices_of,
     walk_matchings,
 )
@@ -87,6 +90,19 @@ def forcing_components(H: Hypergraph, matching) -> tuple[tuple[int, ...], ...]:
     return _index_parts(H, idx, _forcing_parts(H, idx))
 
 
+def rigid(H: Hypergraph, vmask: int, size: int, memo: dict) -> bool:
+    """True iff every matching of H[vmask] of the given size covers vmask;
+    memo holds the answers already found for H, by (vmask, size)."""
+    if (vmask, size) in memo:
+        return memo[(vmask, size)]
+    inside = [e for e in H.edges if not e & ~vmask]
+    ok = all(
+        sum(inside[i] for i in idx) == vmask for idx in enumerate_matchings(inside, size)
+    )
+    memo[(vmask, size)] = ok
+    return ok
+
+
 def is_rigid_part(H: Hypergraph, part) -> bool:
     """True iff every matching of size |P| in H[V(P)] covers V(P)."""
     idx = check_matching(H, part)
@@ -106,16 +122,9 @@ def is_generalized_k_admissible(
     idx = check_matching(H, matching)
     _check_k(k, matching_number(H))
     parts = _forcing_parts(H, idx)
-    if not _admissible(H, len(idx), parts, k, {}):
-        return None
-    return AdmissibleWitness(idx, _index_parts(H, idx, parts), k)
-
-
-def _admissible(H: Hypergraph, size: int, parts: tuple, k: int, memo: dict) -> bool:
-    """Conditions (2) and (3) on the forcing parts of a matching of the given size."""
-    return k <= size <= len(parts) + k - 1 and all(
-        rigid(H, pmask, count, memo) for pmask, count in parts
-    )
+    if k <= len(idx) <= len(parts) + k - 1 and all(rigid(H, p, c, {}) for p, c in parts):
+        return AdmissibleWitness(idx, _index_parts(H, idx, parts), k)
+    return None
 
 
 def _require_uniform(H: Hypergraph) -> int:
@@ -171,30 +180,58 @@ def aim_star(G: Graph, k: int) -> int:
     return best
 
 
-def best_admissible_witness(H: Hypergraph, k: int) -> AdmissibleWitness | None:
-    """The first generalized k-admissible matching, in walk order, maximizing |V(M)| - |M|."""
+def _lower_table(fold: MatchingFold) -> list[tuple[int, tuple[int, ...] | None]]:
+    """[(L(H,k), first maximizer) for k = 1..nu]: -1 and None where no
+    matching is generalized k-admissible.
+
+    One walk keeps, per cell (defect, size), the best |V(M)| - |M| over the
+    matchings whose parts are all rigid, with the first matching that
+    reached it; rigidity is tested only for a matching that would raise its
+    cell.  The cells with defect < k <= size hold the generalized
+    k-admissible matchings.  Walk order is lexicographic, so among tied
+    cells the least index tuple is the first maximizer in walk order.
+    """
+    H, nu = fold.H, fold.nu
+    best = [[-1] * (nu + 1) for _ in range(nu)]
+    first: list[list] = [[None] * (nu + 1) for _ in range(nu)]
     memo: dict = {}
-    best = None
-    best_value = -1
     for idx, vmask, parts, _ in walk_matchings(H):
-        value = vmask.bit_count() - len(idx)
-        if value > best_value and _admissible(H, len(idx), parts, k, memo):
-            best, best_value = (idx, parts), value
-    if best is None:
-        return None
-    idx, parts = best
-    return AdmissibleWitness(idx, _index_parts(H, idx, parts), k)
+        size = len(idx)
+        t = size - len(parts)
+        value = vmask.bit_count() - size
+        if value > best[t][size] and all(rigid(H, p, c, memo) for p, c in parts):
+            best[t][size] = value
+            first[t][size] = idx
+    table = []
+    for k in range(1, nu + 1):
+        cells = [
+            (-best[t][s], first[t][s]) for t in range(k) for s in range(k, nu + 1) if first[t][s]
+        ]
+        value, idx = min(cells, default=(1, None))
+        table.append((-value, idx))
+    return table
+
+
+def _lower(H: Hypergraph, k: int) -> tuple[int, tuple[int, ...] | None]:
+    """L(H,k) and its first maximizer, from the table kept in H's fold."""
+    fold = matching_fold(H)
+    _check_k(k, fold.nu)
+    if fold.lower is None:
+        fold.lower = _lower_table(fold)
+    return fold.lower[k - 1]
+
+
+def best_admissible_witness(H: Hypergraph, k: int) -> AdmissibleWitness | None:
+    """The first generalized k-admissible matching, in walk order, maximizing
+    |V(M)| - |M|, recertified by `is_generalized_k_admissible`."""
+    idx = _lower(H, k)[1]
+    return None if idx is None else is_generalized_k_admissible(H, idx, k)
 
 
 def lower_bound(H: Hypergraph, k: int) -> int:
-    """L(H,k) = max |V(M)| - |M| over generalized k-admissible matchings.
-
-    Read off H's matching fold, which fills L at every k from one walk on
-    the first call for H; it equals the value of best_admissible_witness.
-    """
-    fold = matching_fold(H)
-    _check_k(k, fold.nu)
-    bound = fold.lower()[k - 1]
+    """L(H,k) = max |V(M)| - |M| over generalized k-admissible matchings,
+    read off the table in H's matching fold."""
+    bound = _lower(H, k)[0]
     if bound < 0:
         # a size-k matching refined inside a minimal generator always exists
         raise InputError("no generalized k-admissible matching found")

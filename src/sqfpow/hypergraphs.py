@@ -10,17 +10,16 @@ minimal generators of its edge ideal.
 Two scans cover the matchings: `walk_matchings` visits every matching
 with its forcing parts and its count of induced edges, and
 `enumerate_matchings` is the only scan of the matchings of one fixed size
-(it gives nu by probes after a greedy matching, decides rigidity and gives
-the matching powers of general monomial ideals).  `ideals.sqfree_power`
-lists no matchings: it builds the distinct supports V(M) level by level.
+(it gives nu by probes after a greedy matching, decides rigidity for
+`admissible` and gives the matching powers of general monomial ideals).
+`ideals.sqfree_power` lists no matchings: it builds the distinct
+supports V(M) level by level.
 
 Each hypergraph gets one fold over `walk_matchings` (`MatchingFold`):
 nu, the largest |M| per defect |M| - c(M) (which gives aim_profile) and
-nu1, with L(H,k) for every k filled lazily by a second walk.  A matching
-whose forcing parts are all rigid is generalized k-admissible exactly for
-|M| - c(M) + 1 <= k <= |M|, so one walk gives L at every k.  The fold is
-memoised for the last hypergraph seen, by identity: one entry, whatever
-the number of hypergraphs.
+nu1.  Rigidity and L(H,k) live in `admissible`, which keeps its table in
+the fold's one free slot.  The fold is memoised for the last hypergraph
+seen, by identity: one entry, whatever the number of hypergraphs.
 """
 
 from __future__ import annotations
@@ -331,10 +330,11 @@ class MatchingFold:
     matching has that defect).  nu1 is the largest |M| with
     |E(H[V(M)])| = |M|, read off the walk's inside count and never off
     the parts, so nu1 = aim(H,1) compares two independent derivations.
-    `lower()` adds L(H,k) at every k from a second walk, on first use.
+    lower is None until `admissible` fills it, on first use, with L(H,k)
+    and its first maximizer at every k, so the table shares the fold's memo.
     """
 
-    __slots__ = ("H", "nu", "best_by_defect", "nu1", "_lower")
+    __slots__ = ("H", "nu", "best_by_defect", "nu1", "lower")
 
     def __init__(self, H: Hypergraph):
         self.H = H
@@ -350,33 +350,7 @@ class MatchingFold:
                 nu1 = size
         self.best_by_defect = best
         self.nu1 = nu1
-        self._lower: list[int] | None = None
-
-    def lower(self) -> list[int]:
-        """[L(H,1), ..., L(H,nu)], where L(H,k) = max |V(M)| - |M| over the
-        generalized k-admissible matchings M (-1 where there is none).
-
-        M is generalized k-admissible iff its forcing parts are all rigid
-        and |M| - c(M) + 1 <= k <= |M| (see `admissible`).  So the walk keeps
-        the best value per (defect, size) over the matchings whose parts
-        are all rigid, and tests rigidity only for a matching that would
-        raise its cell.
-        """
-        if self._lower is None:
-            H, nu = self.H, self.nu
-            best = [[-1] * (nu + 1) for _ in range(nu)]
-            memo: dict = {}
-            for idx, vmask, parts, _ in walk_matchings(H):
-                size = len(idx)
-                row = best[size - len(parts)]
-                value = vmask.bit_count() - size
-                if value > row[size] and all(rigid(H, p, c, memo) for p, c in parts):
-                    row[size] = value
-            self._lower = [
-                max(best[t][s] for t in range(k) for s in range(k, nu + 1))
-                for k in range(1, nu + 1)
-            ]
-        return self._lower
+        self.lower: list | None = None
 
 
 _last: MatchingFold | None = None
@@ -387,7 +361,7 @@ def matching_fold(H: Hypergraph) -> MatchingFold:
 
     The one entry is matched by identity, and hypergraphs are immutable, so
     aim_profile, aim, lower_bound and induced_matching_number on one H
-    share a single walk (two once L is asked for).
+    share a single walk (two once L is asked for, see `admissible`).
     """
     global _last
     if _last is None or _last.H is not H:
@@ -431,16 +405,3 @@ def enumerate_matchings(edges: Sequence[int], k: int) -> Iterator[tuple[int, ...
             chosen.pop()
 
     yield from rec(0, 0)
-
-
-def rigid(H: Hypergraph, vmask: int, size: int, memo: dict) -> bool:
-    """True iff every matching of H[vmask] of the given size covers vmask;
-    memo holds the answers already found for H, by (vmask, size)."""
-    if (vmask, size) in memo:
-        return memo[(vmask, size)]
-    inside = [e for e in H.edges if not e & ~vmask]
-    ok = all(
-        sum(inside[i] for i in idx) == vmask for idx in enumerate_matchings(inside, size)
-    )
-    memo[(vmask, size)] = ok
-    return ok

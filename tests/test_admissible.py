@@ -340,23 +340,34 @@ class TestLowerBound:
                 assert lower_bound(H, k) == oracles.brute_lower_bound(H.edges, k) == value
         assert non_rigid > 0
 
-    def test_memo_answers_each_hypergraph_by_itself(self):
+    def test_memo_answers_each_hypergraph_by_itself(self, monkeypatch):
         edges = [(0, 1, 2), (2, 3), (3, 4, 5), (1, 4), (5, 6), (0, 6)]
         A = Hypergraph(7, edges)
         B = Hypergraph(7, edges[::-1])
         C = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
         def answers(H):
-            lbs = [lower_bound(H, k) for k in range(1, matching_number(H) + 1)]
+            ks = range(1, matching_number(H) + 1)
+            lbs = [lower_bound(H, k) for k in ks]
+            witnesses = [best_admissible_witness(H, k) for k in ks]
             prof = aim_profile(H) if H.uniform_size() else None
-            return lbs, prof, induced_matching_number(H)
+            return lbs, witnesses, prof, induced_matching_number(H)
 
         fresh = {id(H): answers(Hypergraph(H.n, H.edges)) for H in (A, B, C)}
         for H in (A, C, B, A, B, B, C, A):
             assert answers(H) == fresh[id(H)]
         for H in (C, A, C, B):
             assert lower_bound(H, 2) == fresh[id(H)][0][1]
-            assert induced_matching_number(H) == fresh[id(H)][2]
+            assert induced_matching_number(H) == fresh[id(H)][3]
+
+        # one walk for the fold and one for the L table, whatever the number of k
+        walked = []
+        real = hypergraphs.walk_matchings
+        for module in ("sqfpow.hypergraphs", "sqfpow.admissible"):
+            monkeypatch.setattr(f"{module}.walk_matchings", lambda H: walked.append(H) or real(H))
+        D = Hypergraph(7, edges)
+        assert answers(D) == fresh[id(A)]
+        assert walked == [D, D]
 
     def test_k_out_of_range_and_edgeless(self, p4):
         for k in (0, matching_number(p4) + 1):

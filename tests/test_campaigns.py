@@ -346,6 +346,31 @@ class TestFailurePolicy:
         )
         assert report.n_fail > 1
 
+    def test_lower_bound_witness_is_first_maximizer(self, monkeypatch):
+        import oracles
+        import sqfpow.campaigns as camp
+        from sqfpow import is_generalized_k_admissible
+
+        rng = random.Random(6)  # 12 checks, 10 with tied maximizers
+        hs = [random_hypergraph(rng, (5, 7), (1, 4), max_edges=7) for _ in range(4)]
+        hs += [random_hypergraph(rng, (6, 7), (3, 3), max_edges=6) for _ in range(3)]
+        monkeypatch.setattr(camp, "reg_power_cached", lambda *a, **kw: 0)
+        report = run_campaign("lower-bound", Corpus.from_objects(hs, "h"), {"explore": True})
+        assert report.n_fail == len(report.records) == sum(map(matching_number, hs))
+        for record in report.records:
+            H, k = hs[int(record.instance.split(":")[1])], record.k
+            sets = oracles.masks_to_sets(H.edges)
+            admissible = [
+                m
+                for m in sorted(oracles.brute_matchings(H.edges))
+                if oracles.brute_is_generalized_admissible(H.edges, m, k)
+            ]
+            # max keeps the first of equal values, in lexicographic order
+            first = max(admissible, key=lambda m: len(set().union(*(sets[i] for i in m))) - len(m))
+            dump = record.witness["admissible_witness"]
+            assert dump == is_generalized_k_admissible(H, first, k).to_json_dict(H)
+            assert sum(len(e) - 1 for e in dump["edges"]) == record.data["L"]
+
     def test_parallel_abort_is_early(self, monkeypatch):
         import sqfpow.campaigns as camp
 
