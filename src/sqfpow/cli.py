@@ -28,6 +28,7 @@ from .hypergraphs import (
     Graph,
     Hypergraph,
     InputError,
+    enumerate_matchings,
     induced_matching_number,
     matching_number,
     vertices_of,
@@ -69,19 +70,16 @@ def _as_power_ideal(obj, k: int) -> SquareFreeIdeal:
     raise InputError(f"cannot interpret {obj!r}")
 
 
-def _nu(obj: Hypergraph | SquareFreeIdeal) -> int:
-    if isinstance(obj, SquareFreeIdeal):
-        obj = Hypergraph(obj.n, [] if obj.is_unit() else obj.gens)
-    return matching_number(obj)
-
-
 def _cmd_reg(args) -> int:
     obj = _load_instance(args.input)
     # The power keeps the universe of obj, so what `regularity` checks first is
     # checked before it is built, unless it is R (k <= 0) or 0 (k > nu): reg 0.
-    if isinstance(obj, (Hypergraph, SquareFreeIdeal)) and 1 <= args.k <= _nu(obj):
-        _check_characteristic(args.char)
-        _check_budget(obj)
+    # One k-matching, found or not, tells k <= nu apart without computing nu.
+    if isinstance(obj, (Hypergraph, SquareFreeIdeal)) and args.k >= 1:
+        edges = obj.edges if isinstance(obj, Hypergraph) else [] if obj.is_unit() else obj.gens
+        if next(enumerate_matchings(edges, args.k), None):
+            _check_characteristic(args.char)
+            _check_budget(obj)
     ideal = _as_power_ideal(obj, args.k)
     print(regularity(ideal, args.char))
     return 0

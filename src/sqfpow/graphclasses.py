@@ -13,6 +13,16 @@ The Cohen-Macaulay partition needs no search: a free vertex v lies in
 exactly one maximal clique, N[v], so a partition of V into maximal
 cliques each holding a free vertex can only be {N[v] : v free}
 (Herzog-Hibi-Zheng 2006, Thm 2.1).
+
+Weak chordality is two tests for a long hole (an induced cycle on 5 or
+more vertices), on G and on its complement.  Let v be the least vertex
+of a long hole and a < b its neighbours on it: the rest of the hole is
+a path from a to b through vertices above v, outside N[v] and outside
+N(a) & N(b) (only in a 4-cycle is a vertex adjacent to both).
+Conversely, a shortest such path between non-adjacent a and b is
+induced, has 3 or more edges (a middle vertex would lie in N(a) & N(b))
+and avoids N(v), so with v it closes a long hole.  One BFS per
+(v, a, b) thus decides it in O(n^4) mask steps, at every n.
 """
 
 from __future__ import annotations
@@ -22,9 +32,7 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
-from .hypergraphs import BudgetError, Graph, InputError, vertices_of
-
-WEAKLY_CHORDAL_MAX_VERTICES = 16
+from .hypergraphs import Graph, InputError, vertices_of
 
 
 def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
@@ -79,48 +87,36 @@ def is_chordal(G: Graph) -> tuple[bool, tuple[int, ...] | None]:
     return (False, None) if got is None else (True, got[0])
 
 
-def _has_induced_cycle_ge(adj: tuple[int, ...], n: int, length: int) -> bool:
-    """Exhaustive DFS for an induced cycle with at least `length` vertices."""
-    for a in range(n):
-        base_forbidden = (1 << (a + 1)) - 1
-        close = adj[a]
-        starts = adj[a] & ~base_forbidden
-
-        def rec(u: int, forbidden: int, nv: int) -> bool:
-            cand = adj[u] & ~forbidden
-            m = cand
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                m ^= low
-                if close >> w & 1:
-                    if nv + 1 >= length:
+def _has_long_hole(adj: tuple[int, ...], n: int) -> bool:
+    """A long hole, by the BFS of the module docstring over the live vertices:
+    those with 2 or more neighbours and 2 or more non-neighbours, as on a hole."""
+    live = sum(1 << v for v in range(n) if 2 <= adj[v].bit_count() <= n - 3)
+    for v in vertices_of(live):
+        above = live & -(2 << v)  # the live vertices above v
+        far = above & ~adj[v]
+        ends = adj[v] & above
+        for a in vertices_of(ends):
+            for b in vertices_of(ends & -(2 << a) & ~adj[a]):
+                allowed = far & ~(adj[a] & adj[b])
+                seen = frontier = 1 << a
+                while frontier:
+                    reach = 0
+                    for u in vertices_of(frontier):
+                        reach |= adj[u]
+                    if reach >> b & 1:
                         return True
-                elif rec(w, forbidden | low | adj[u], nv + 1):
-                    return True
-            return False
-
-        m = starts
-        while m:
-            low = m & -m
-            b = low.bit_length() - 1
-            m ^= low
-            if rec(b, base_forbidden | low, 2):
-                return True
+                    frontier = reach & allowed & ~seen
+                    seen |= frontier
     return False
 
 
 def is_weakly_chordal(G: Graph) -> bool:
-    """No induced C_m with m >= 5 in G or in its complement (n <= 16)."""
-    if G.n > WEAKLY_CHORDAL_MAX_VERTICES:
-        raise BudgetError(
-            f"weak chordality check budgeted to n <= {WEAKLY_CHORDAL_MAX_VERTICES}"
-        )
-    if _has_induced_cycle_ge(G.adj, G.n, 5):
+    """No induced C_m with m >= 5 in G or in its complement."""
+    if _has_long_hole(G.adj, G.n):
         return False
     full = (1 << G.n) - 1
     co_adj = tuple(full & ~row & ~(1 << v) for v, row in enumerate(G.adj))
-    return not _has_induced_cycle_ge(co_adj, G.n, 5)
+    return not _has_long_hole(co_adj, G.n)
 
 
 def maximal_cliques(G: Graph) -> list[int]:

@@ -258,6 +258,42 @@ def taylor_betti(n, gen_vectors, p):
     return entries
 
 
+# -- weak chordality -----------------------------------------------------------
+
+
+def brute_has_long_hole(adj, n):
+    """An induced cycle on 5 or more vertices, by an exhaustive DFS over the
+    induced paths a, b, ... whose least vertex is a, closed by a neighbour
+    of a.  Each step forbids the neighbours of the vertex it leaves."""
+    for a in range(n):
+        base_forbidden = (1 << (a + 1)) - 1
+
+        def rec(u, forbidden, nv):
+            m = adj[u] & ~forbidden
+            while m:
+                low = m & -m
+                w = low.bit_length() - 1
+                m ^= low
+                if adj[a] >> w & 1:
+                    if nv + 1 >= 5:
+                        return True
+                elif rec(w, forbidden | low | adj[u], nv + 1):
+                    return True
+            return False
+
+        for b in range(a + 1, n):
+            if adj[a] >> b & 1 and rec(b, base_forbidden | 1 << b, 2):
+                return True
+    return False
+
+
+def brute_is_weakly_chordal(G):
+    """No long hole in G or in its complement, by `brute_has_long_hole`."""
+    full = (1 << G.n) - 1
+    co_adj = [full & ~row & ~(1 << v) for v, row in enumerate(G.adj)]
+    return not brute_has_long_hole(G.adj, G.n) and not brute_has_long_hole(co_adj, G.n)
+
+
 # -- networkx bridges ---------------------------------------------------------
 
 

@@ -166,6 +166,9 @@ class TestAimGensBetti:
 
 class TestBudgetBeforeBuild:
     K30 = json.dumps({"n": 30, "edges": [[i, j] for i in range(30) for j in range(i + 1, 30)]})
+    # K_{8,40} with the small side on every sixth label: proving nu = 8 walks
+    # every matching, while one 3-matching is found at once
+    K8_40 = json.dumps({"n": 48, "edges": [[i, j] for i in range(0, 48, 6) for j in range(48) if j % 6]})
 
     def test_power_past_budget_refused_unbuilt(self):
         # I(K30)^[7] has C(30, 14) generators; it is refused before it is
@@ -176,15 +179,17 @@ class TestBudgetBeforeBuild:
             "from sqfpow.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        for cmd in ("reg", "betti"):
+        for cmd, instance, k in (
+            ("reg", self.K30, "7"), ("betti", self.K30, "7"), ("reg", self.K8_40, "3")
+        ):
             result = subprocess.run(
-                [sys.executable, "-c", child, cmd, self.K30, "--k", "7"],
+                [sys.executable, "-c", child, cmd, instance, "--k", k],
                 env=dict(os.environ, PYTHONPATH=str(SRC)),
                 capture_output=True,
                 text=True,
                 timeout=10,
             )
-            assert result.returncode == 3 and "budget" in result.stderr, (cmd, result.stderr)
+            assert result.returncode == 3 and "budget" in result.stderr, (cmd, k, result.stderr)
             assert result.stdout == ""
 
     def test_reg_answers_zero_outside_1_to_nu(self, capsys):
@@ -211,12 +216,12 @@ class TestClassify:
         assert info["chordal"] and info["block_graph"] and info["cm_chordal"]
         assert info["blocks"][0]["special_type"] == "II"  # d = 3, no attachments
 
-    def test_budget_exit3(self, capsys):
+    def test_weakly_chordal_past_sixteen_vertices(self, capsys):
         import networkx as nx
 
         line = nx.to_graph6_bytes(nx.path_graph(17), header=False).decode().strip()
-        code, _, err = run(capsys, "classify", line)
-        assert code == 3 and "budget" in err
+        code, out, _ = run(capsys, "classify", line)
+        assert code == 0 and json.loads(out)["weakly_chordal"] is True
 
 
 class TestCampaignCommand:

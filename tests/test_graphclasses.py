@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -6,7 +9,6 @@ import networkx as nx
 import oracles
 from conftest import complete_graph, cycle_graph
 from sqfpow import (
-    BudgetError,
     Graph,
     InputError,
     SquareFreeIdeal,
@@ -69,9 +71,43 @@ class TestWeaklyChordal:
         big_component = induced_sub(fig1, range(15))
         assert is_weakly_chordal(big_component)
 
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            is_weakly_chordal(Graph(17))
+    def test_past_sixteen_vertices(self):
+        rng = random.Random(40)
+        tree = {(0, 1)}
+        for v in range(2, 40):  # a 2-tree: each vertex joins both ends of an edge
+            a, b = rng.choice(sorted(tree))
+            tree |= {(a, v), (b, v)}
+        cases = [
+            (cycle_graph(20), False),
+            (_complement(cycle_graph(20)), False),
+            (Graph(17, [(i, i + 1) for i in range(16)]), True),
+            (Graph(40, sorted(tree)), True),
+            (Graph(64, [(i, j) for i in range(32) for j in range(32, 64)]), True),
+        ]
+        for G, want in cases:
+            start = time.perf_counter()
+            assert is_weakly_chordal(G) == want
+            assert time.perf_counter() - start < 1.0, G.n
+
+    def test_against_brute_force_catalog(self):
+        for G in _bundled_graphs("graphs_le7", 7):
+            for H in (G, _complement(G)):
+                assert is_weakly_chordal(H) == oracles.brute_is_weakly_chordal(H), H.edges
+
+    def test_against_brute_force_random(self):
+        rng = random.Random(25)
+        for density in (0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9):  # mostly True at both ends
+            for _ in range(120):
+                n = rng.randint(8, 13)
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+                G = Graph(n, [p for p in pairs if rng.random() < density])
+                assert is_weakly_chordal(G) == oracles.brute_is_weakly_chordal(G), (n, G.edges)
+
+    def test_cycles_and_complements(self):
+        for n in range(5, 17):
+            for G in (cycle_graph(n), _complement(cycle_graph(n))):
+                assert not is_weakly_chordal(G)
+                assert not oracles.brute_is_weakly_chordal(G)
 
     @given(small_graphs(max_n=8))
     @settings(max_examples=80)
@@ -110,6 +146,10 @@ def _nx_cliques(G):
     return sorted(
         sum(1 << v for v in clique) for clique in nx.find_cliques(oracles.to_networkx(G))
     )
+
+
+def _complement(G):
+    return Graph(G.n, [(i, j) for i in range(G.n) for j in range(i + 1, G.n) if not G.has_edge(i, j)])
 
 
 def _bundled_graphs(name, nmax):
