@@ -30,6 +30,7 @@ from .hypergraphs import (
     InputError,
     enumerate_matchings,
     induced_matching_number,
+    matching_bounds,
     matching_number,
     vertices_of,
 )
@@ -74,10 +75,11 @@ def _cmd_reg(args) -> int:
     obj = _load_instance(args.input)
     # The power keeps the universe of obj, so what `regularity` checks first is
     # checked before it is built, unless it is R (k <= 0) or 0 (k > nu): reg 0.
-    # One k-matching, found or not, tells k <= nu apart without computing nu.
+    # k <= nu is read off the bounds on nu, or else off one k-matching, found or not.
     if isinstance(obj, (Hypergraph, SquareFreeIdeal)) and args.k >= 1:
         edges = obj.edges if isinstance(obj, Hypergraph) else [] if obj.is_unit() else obj.gens
-        if next(enumerate_matchings(edges, args.k), None):
+        greedy, fit = matching_bounds(edges)
+        if args.k <= greedy or args.k <= fit and next(enumerate_matchings(edges, args.k), None):
             _check_characteristic(args.char)
             _check_budget(obj)
     ideal = _as_power_ideal(obj, args.k)

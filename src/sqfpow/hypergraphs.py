@@ -306,17 +306,25 @@ def walk_matchings(H: Hypergraph) -> Iterator[tuple[tuple[int, ...], int, tuple,
     yield from rec(0, 0, (), 0)
 
 
-def matching_number(H: Hypergraph) -> int:
-    """nu(H), 0 if H is edgeless: a greedy matching grown by probes for one edge more, run
-    while nu + 1 disjoint edges fit (d or more vertices, distinct lowest and highest ones)."""
-    used = nu = lows = highs = 0
-    for e in H.edges:
+def matching_bounds(edges: Sequence[int]) -> tuple[int, int]:
+    """(greedy, fit) with greedy <= nu <= fit for the masks edges: greedy is the size of
+    a greedy matching, fit the most disjoint masks that fit (d or more vertices each,
+    distinct lowest and highest ones)."""
+    used = covered = greedy = lows = highs = 0
+    for e in edges:
+        covered |= e
         lows, highs = lows | e & -e, highs | 1 << e.bit_length() >> 1
         if not e & used:
             used |= e
-            nu += 1
-    d = min(map(int.bit_count, H.edges), default=1)
-    fit = min(H.covered().bit_count() // d, lows.bit_count(), highs.bit_count())
+            greedy += 1
+    d = min(map(int.bit_count, edges), default=1)
+    return greedy, min(covered.bit_count() // d, lows.bit_count(), highs.bit_count())
+
+
+def matching_number(H: Hypergraph) -> int:
+    """nu(H), 0 if H is edgeless: a greedy matching grown by probes for one edge more,
+    run while nu + 1 disjoint edges fit (see `matching_bounds`)."""
+    nu, fit = matching_bounds(H.edges)
     while nu < fit and next(enumerate_matchings(H.edges, nu + 1), None):
         nu += 1
     return nu

@@ -169,18 +169,24 @@ class TestBudgetBeforeBuild:
     # K_{8,40} with the small side on every sixth label: proving nu = 8 walks
     # every matching, while one 3-matching is found at once
     K8_40 = json.dumps({"n": 48, "edges": [[i, j] for i in range(0, 48, 6) for j in range(48) if j % 6]})
+    # K_{8,40} with the small side on 0..7: 8 distinct lowest vertices bound nu by 8
+    K8_40_LOW = json.dumps({"n": 48, "edges": [[i, j] for i in range(8) for j in range(8, 48)]})
 
     def test_power_past_budget_refused_unbuilt(self):
         # I(K30)^[7] has C(30, 14) generators; it is refused before it is
-        # built, in a child capped at 1 GiB
+        # built, in a child capped at 1 GiB.  Above nu, reg answers 0 unbuilt.
         child = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from sqfpow.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        for cmd, instance, k in (
-            ("reg", self.K30, "7"), ("betti", self.K30, "7"), ("reg", self.K8_40, "3")
+        for cmd, instance, k, expected in (
+            ("reg", self.K30, "7", 3),
+            ("betti", self.K30, "7", 3),
+            ("reg", self.K8_40, "3", 3),
+            ("reg", self.K8_40_LOW, "3", 3),
+            ("reg", self.K8_40_LOW, "9", 0),
         ):
             result = subprocess.run(
                 [sys.executable, "-c", child, cmd, instance, "--k", k],
@@ -189,8 +195,11 @@ class TestBudgetBeforeBuild:
                 text=True,
                 timeout=10,
             )
-            assert result.returncode == 3 and "budget" in result.stderr, (cmd, k, result.stderr)
-            assert result.stdout == ""
+            assert result.returncode == expected, (cmd, k, result.stderr)
+            if expected == 3:
+                assert "budget" in result.stderr and result.stdout == ""
+            else:
+                assert result.stdout.strip() == "0"
 
     def test_reg_answers_zero_outside_1_to_nu(self, capsys):
         # R for k <= 0 and 0 for k > nu = 15 need no homology; betti refuses every k
